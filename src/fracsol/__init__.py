@@ -13,6 +13,7 @@ from .spectral import (
     inner,
     l2_norm,
     make_grid,
+    quad_form,
     resolvent,
     shift_field,
 )

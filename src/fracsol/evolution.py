@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import NumericalError
-from .functionals import mass
+from .functionals import bbm_hamiltonian, energy_fkdv, mass
 from .ground_state import (
     FBBM,
     FKDV,
@@ -31,9 +31,10 @@ from .ground_state import (
 from .spectral import (
     Grid1D,
     RealField,
+    _shift_phase,
     energy_norm,
     field_from_values,
-    shift_field,
+    quad_form,
 )
 from .verification import IdentityReport, identity_suite
 
@@ -88,23 +89,6 @@ def _etdrk4_coefficients(lin: np.ndarray, dt: float, n_contour: int = 32):
     return np.exp(z), np.exp(z / 2.0), q, f1, f2, f3
 
 
-def _general_energy(u: RealField, model: ModelSpec) -> float:
-    """(1/2) int |p(D)^{1/2}u|^2 - int u^{p+2}/((p+1)(p+2)); the fKdV Hamiltonian."""
-    grid = u.grid
-    uhat = np.fft.fft(u.values)
-    kinetic = 0.5 * grid.dx / grid.n * np.sum(model.symbol(grid.xi) * np.abs(uhat) ** 2)
-    p = model.p
-    return float(kinetic - grid.dx * np.sum(u.values ** (p + 2)) / ((p + 1) * (p + 2)))
-
-
-def _bbm_pair(u: RealField, model: ModelSpec) -> tuple[float, float]:
-    grid = u.grid
-    uhat = np.fft.fft(u.values)
-    quad = 0.5 * grid.dx / grid.n * np.sum((1.0 + model.symbol(grid.xi)) * np.abs(uhat) ** 2)
-    ham = grid.dx * np.sum(u.values**2 / 2.0 + u.values**3 / 6.0)
-    return float(quad), float(ham)
-
-
 def evolve(
     model: ModelSpec,
     u0: RealField,
@@ -119,14 +103,16 @@ def evolve(
     record_every steps.
 
     Blow-up (sup-norm growth beyond 1e6 times the initial) and NaN both stop
-    the integration and return a flagged partial trace.
+    the integration and return a flagged partial trace.  A blown-up state is
+    recorded as the last entry; a NaN state cannot be, so the trace ends at
+    the last finite record.
     """
     if not T > 0 or not dt > 0:
         raise ValueError("T and dt must be positive")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     grid = u0.grid
-    xi = grid.xi
+    xi_r = grid.xi_r
     n_steps = int(round(T / dt))
     if n_steps < 1:
         raise ValueError(f"horizon T={T} shorter than one step dt={dt}")
@@ -135,11 +121,9 @@ def evolve(
             f"dt={dt} does not divide T={T}; integrating to t={n_steps * dt} instead"
         )
 
-    # one-sided (rfft) lattice: real fields, half the transform work
-    xi_r = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.dx)
     mask = np.ones(xi_r.size)
     if dealias:
-        cutoff = (2.0 / 3.0) * np.max(np.abs(xi))
+        cutoff = (2.0 / 3.0) * xi_r[-1]
         mask[xi_r > cutoff] = 0.0
     # odd multiplier: the Nyquist mode of the derivative is dropped
     ik = 1j * xi_r
@@ -150,16 +134,17 @@ def evolve(
 
     is_bbm = model.family == FBBM
     if is_bbm:
-        bound = np.max(np.abs(xi_r / (1.0 + model.symbol(xi_r)))) * (1.0 + sup0) * dt
+        bbm_weight = 1.0 + model.symbol(xi_r)
+        bound = np.max(np.abs(xi_r / bbm_weight)) * (1.0 + sup0) * dt
         if bound > 2.8:
             warnings.warn(f"fBBM RK4 stability bound violated: |lambda| dt = {bound:.2f} > 2.8")
-        rhs_mult = -ik / (1.0 + model.symbol(xi_r))
+        rhs_mult = -ik / bbm_weight
 
         def rhs(vhat):
             v = np.fft.irfft(vhat, n=grid.n)
             return rhs_mult * (vhat + mask * np.fft.rfft(v * v) / 2.0)
     else:
-        cfl = dt * sup0 ** p * (2.0 / 3.0) * np.max(np.abs(xi))
+        cfl = dt * sup0 ** p * (2.0 / 3.0) * xi_r[-1]
         if cfl > 4.0:
             warnings.warn(f"fKdV advective stability bound violated: CFL = {cfl:.2f} > 4")
         lin = ik * model.symbol(xi_r)
@@ -169,17 +154,16 @@ def evolve(
             v = np.fft.irfft(vhat, n=grid.n)
             return -ik * mask * np.fft.rfft(v ** (p + 1)) / (p + 1)
 
-    times = [0.0]
-    series_a, series_b, dists = [], [], []
+    times, series_a, series_b, dists = [], [], [], []
 
     def record(t, u_field):
+        times.append(t)
         if is_bbm:
-            quad, ham = _bbm_pair(u_field, model)
-            series_a.append(quad)
-            series_b.append(ham)
+            series_a.append(0.5 * quad_form(np.fft.rfft(u_field.values), grid, bbm_weight))
+            series_b.append(bbm_hamiltonian(u_field))
         else:
             series_a.append(mass(u_field))
-            series_b.append(_general_energy(u_field, model))
+            series_b.append(energy_fkdv(u_field, model.symbol, p).value)
         if track_orbit is not None:
             dists.append(orbital_distance(u_field, track_orbit,
                                           track_orbit.model.symbol.alpha)[0])
@@ -208,14 +192,11 @@ def evolve(
         u_vals = np.fft.irfft(uhat, n=grid.n)
         if not np.all(np.isfinite(u_vals)):
             flag = "nan"
-        elif np.max(np.abs(u_vals)) > BLOWUP_FACTOR * max(sup0, 1e-300):
+            break
+        if np.max(np.abs(u_vals)) > BLOWUP_FACTOR * max(sup0, 1e-300):
             flag = "blowup"
         if flag is not None or step % record_every == 0 or step == n_steps:
-            if flag == "nan":
-                times.append(step * dt)
-                break
             u_field = field_from_values(grid, u_vals)
-            times.append(step * dt)
             record(step * dt, u_field)
             if flag is not None:
                 break
@@ -251,21 +232,17 @@ def orbital_distance(u: RealField, Q: SolitaryWave, alpha: float) -> tuple[float
     grid = u.grid
     if Q.profile.grid.n != grid.n or Q.profile.grid.L != grid.L:
         raise ValueError("field and profile live on different grids")
-    uhat = np.fft.fft(u.values)
-    qhat = np.fft.fft(Q.profile.values)
+    uhat = np.fft.rfft(u.values)
+    qhat = np.fft.rfft(Q.profile.values)
     # correlation against Q shifted by m*dx; best u-shift is the negative
-    corr = np.fft.ifft(qhat * np.conj(uhat)).real
+    corr = np.fft.irfft(qhat * np.conj(uhat), n=grid.n)
     m_best = int(np.argmax(corr))
     z0 = -m_best * grid.dx
 
-    w = grid.dx / grid.n * (1.0 + np.abs(grid.xi) ** alpha)
-    nyq = grid.n // 2
-    xi = grid.xi
+    weight = 1.0 + grid.xi_r**alpha
 
     def objective(z: float) -> float:
-        phase = np.exp(1j * xi * z)
-        phase[nyq] = np.cos(xi[nyq] * z)
-        return float(np.sum(w * np.abs(phase * uhat - qhat) ** 2))
+        return quad_form(_shift_phase(grid, z) * uhat - qhat, grid, weight)
 
     h = grid.dx
     zs = [z0 - h, z0, z0 + h]
@@ -343,10 +320,9 @@ def make_perturbation(grid: Grid1D, kind: str, Q: SolitaryWave, delta: float,
     elif kind == "random":
         rng = np.random.default_rng(seed)
         n_modes = max(2, grid.n // 16)
-        coef = np.zeros(grid.n, dtype=complex)
+        coef = np.zeros(grid.n // 2 + 1, dtype=complex)
         coef[1 : n_modes + 1] = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-        coef[-n_modes:] = np.conj(coef[1 : n_modes + 1][::-1])
-        vals = np.fft.ifft(coef).real * np.exp(-((grid.x / (grid.L / 4.0)) ** 2))
+        vals = np.fft.irfft(coef, n=grid.n) * np.exp(-((grid.x / (grid.L / 4.0)) ** 2))
         raw = field_from_values(grid, vals)
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")

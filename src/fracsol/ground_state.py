@@ -15,7 +15,7 @@ Three routes to the same family of objects:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,6 +30,7 @@ from .spectral import (
     RealField,
     field_from_values,
     make_grid,
+    quad_form,
 )
 
 __all__ = [
@@ -99,8 +100,7 @@ def linear_symbol(model: ModelSpec, c: float, xi: np.ndarray) -> np.ndarray:
 
 def profile_residual(model: ModelSpec, c: float, u: RealField) -> np.ndarray:
     """Pointwise residual of the profile equation for u."""
-    xi_r = 2.0 * np.pi * np.fft.rfftfreq(u.grid.n, d=u.grid.dx)
-    lin = linear_symbol(model, c, xi_r)
+    lin = linear_symbol(model, c, u.grid.xi_r)
     lin_u = np.fft.irfft(lin * np.fft.rfft(u.values), n=u.grid.n)
     p = model.p
     return lin_u - u.values ** (p + 1) / (p + 1)
@@ -166,6 +166,8 @@ def petviashvili(
     sup change is below tol and the equation residual is below 10*tol;
     stagnation of the iterates alone can mask non-solutions.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if model.family == FKDV and model.symbol.kind == PURE_POWER and model.symbol.alpha <= 1.0 / 3.0:
         warnings.warn(
             f"alpha={model.symbol.alpha} <= 1/3: no finite-energy solitary wave exists; "
@@ -174,13 +176,10 @@ def petviashvili(
     p = model.p
     if gamma is None:
         gamma = (p + 1) / p
-    xi_r = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.dx)
-    linear_symbol(model, c, grid.xi[:1])  # validates c for the chosen form
-    lin = linear_symbol(model, c, xi_r)
+    lin = linear_symbol(model, c, grid.xi_r)  # also validates c for the chosen form
     inv = 1.0 / lin
 
     q = (seed_profile.values if seed_profile is not None else default_seed(model, c, grid).values).copy()
-    n_iter = 0
     delta_prev = None
     for n_iter in range(1, max_iter + 1):
         qhat = np.fft.rfft(q)
@@ -239,8 +238,7 @@ def _interp_weights(u: RealField):
     uhat = np.fft.rfft(u.values)
     weights = uhat / grid.n
     weights[1:-1] *= 2.0  # interior modes carry both signs; ends stay single
-    xi_r = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.dx)
-    return weights, xi_r
+    return weights, grid.xi_r
 
 
 def sample_interpolant(u: RealField, points: np.ndarray, chunk: int = 512) -> np.ndarray:
@@ -342,7 +340,7 @@ def rescale_solitary(Q: SolitaryWave, c_new: float) -> SolitaryWave:
     # resampling error: the box boundary tail reenters through the dilation
     grid = Q.profile.grid
     tail = float(np.abs(Q.profile.values[0]))
-    bound = ratio * tail * (c_new + float(np.max(Q.model.symbol(grid.xi)))) + 1e-12
+    bound = ratio * tail * (c_new + float(np.max(Q.model.symbol(grid.xi_r)))) + 1e-12
     if wave.residual_sup > 10.0 * Q.residual_sup + bound:
         warnings.warn(
             f"rescaled residual {wave.residual_sup:.3e} exceeds 10x input "
@@ -401,7 +399,7 @@ def minimize_iq(
         raise ValueError(f"mass constraint must be positive, got {q}")
 
     dx = grid.dx
-    mult = np.abs(grid.xi) ** alpha
+    mult = grid.xi_r**alpha
     xi_max_pow = float(mult.max())
 
     if seed_field is None:
@@ -411,9 +409,9 @@ def minimize_iq(
     u = u * np.sqrt(2.0 * q / (dx * np.sum(u**2)))
 
     def split(u):
-        uhat = np.fft.fft(u)
-        du = np.fft.ifft(mult * uhat).real  # D^alpha u
-        e = 0.5 * dx / grid.n * np.sum(mult * np.abs(uhat) ** 2) - dx * np.sum(u**3) / 6.0
+        uhat = np.fft.rfft(u)
+        du = np.fft.irfft(mult * uhat, n=grid.n)  # D^alpha u
+        e = 0.5 * quad_form(uhat, grid, mult) - dx * np.sum(u**3) / 6.0
         return du, e
 
     energy_prev = np.inf

@@ -141,13 +141,8 @@ def load_wave(path: str) -> SolitaryWave:
     missing = [k for k in required if k not in meta]
     if missing:
         raise ValueError(f"{path}: sidecar lacks {', '.join(missing)}")
-    kind = meta.get("symbol", "power")
-    if kind == "power":
-        symbol = DispersionSymbol.power(float(meta["alpha"]))
-    elif kind == "whitham":
-        symbol = DispersionSymbol.whitham()
-    else:
-        symbol = DispersionSymbol.whitham_tension(float(meta.get("beta", 0.0)))
+    symbol = DispersionSymbol(kind=meta.get("symbol", "power"), alpha=float(meta["alpha"]),
+                              beta=float(meta.get("beta", 0.0)))
     model = ModelSpec(
         family=meta["family"],
         symbol=symbol,

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .functionals import FunctionalValue
+from .spectral import _readonly
 
 __all__ = [
     "Grid2D",
@@ -33,12 +34,6 @@ __all__ = [
     "blt_ratio",
     "kp_rescale",
 ]
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,11 +4,17 @@ The real line is truncated to the box [-L, L), sampled uniformly at n
 points.  Everything downstream (functionals, solitary-wave solvers, time
 steppers) manipulates fields through Fourier multipliers on this box:
 
-* wavenumbers follow fft ordering, ``xi_j = pi*j/L``,
+* fields are real, so every transform is a real-to-complex ``rfft`` on the
+  one-sided wavenumbers ``xi_r = pi*j/L``, ``j = 0..n/2``; the grid also
+  keeps the full fft-ordered lattice ``xi``,
 * integrals are uniform Riemann sums, spectrally accurate for smooth
   periodic integrands,
+* quadratic forms ``int m(D)u u`` are Parseval sums over the one-sided
+  spectrum (``quad_form``): each interior mode stands for the pair
+  ``+-xi`` and counts twice, the mean (DC) and Nyquist modes count once,
 * the fractional derivative of order ``s`` is the multiplier ``|xi|**s``,
-* translation is the phase ``exp(1j*xi*y)``, exact for band-limited fields.
+* translation is the phase ``exp(1j*xi*y)``, exact for band-limited fields;
+  the Nyquist mode moves with the real-even ``cos(xi_nyq*y)``.
 
 Grids and fields are immutable after construction and safe to share between
 concurrently running solves.
@@ -32,6 +38,7 @@ __all__ = [
     "d_alpha",
     "resolvent",
     "energy_norm",
+    "quad_form",
     "shift_field",
     "integrate",
     "inner",
@@ -47,13 +54,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Grid1D:
-    """Uniform periodic sampling of [-L, L) with fft-ordered wavenumbers."""
+    """Uniform periodic sampling of [-L, L): fft-ordered wavenumbers xi and
+    their one-sided (rfft) half xi_r."""
 
     n: int
     L: float
     dx: float
     x: np.ndarray
     xi: np.ndarray
+    xi_r: np.ndarray
 
 
 def make_grid(n: int, L: float) -> Grid1D:
@@ -66,7 +75,8 @@ def make_grid(n: int, L: float) -> Grid1D:
     dx = 2.0 * L / n  # exact: division by a power of two
     x = -L + dx * np.arange(n)
     xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    return Grid1D(n=n, L=L, dx=dx, x=_readonly(x), xi=_readonly(xi))
+    xi_r = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
+    return Grid1D(n=n, L=L, dx=dx, x=_readonly(x), xi=_readonly(xi), xi_r=_readonly(xi_r))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,21 +190,20 @@ class DispersionSymbol:
 
 
 def _apply_multiplier_array(u: RealField, m: np.ndarray) -> RealField:
-    """Apply a precomputed (possibly complex) multiplier array; returns the real part."""
-    out = np.fft.ifft(m * np.fft.fft(u.values)).real
+    """Apply a precomputed multiplier on the one-sided lattice xi_r."""
+    out = np.fft.irfft(m * np.fft.rfft(u.values), n=u.grid.n)
     return RealField(grid=u.grid, values=_readonly(out))
 
 
 def apply_multiplier(u: RealField, m: Callable[[np.ndarray], np.ndarray]) -> RealField:
     """Replace u_hat(xi) by m(xi) u_hat(xi) for a real, even symbol m."""
-    marr = np.asarray(m(u.grid.xi), dtype=np.float64)
-    if marr.shape != (u.grid.n,):
+    xi_r = u.grid.xi_r
+    marr = np.asarray(m(xi_r), dtype=np.float64)
+    if marr.shape != xi_r.shape:
         raise ValueError("multiplier must return one value per grid wavenumber")
     if not np.all(np.isfinite(marr)):
         raise ValueError("multiplier is not finite on all grid wavenumbers")
-    # evenness on the lattice: m at -xi_j is m at index (-j) mod n
-    flipped = marr[(-np.arange(u.grid.n)) % u.grid.n]
-    if not np.allclose(marr, flipped, rtol=1e-12, atol=0.0):
+    if not np.allclose(marr, np.asarray(m(-xi_r), dtype=np.float64), rtol=1e-12, atol=0.0):
         raise ValueError("multiplier must be even in xi")
     return _apply_multiplier_array(u, marr)
 
@@ -205,14 +214,14 @@ def d_alpha(u: RealField, s: float) -> RealField:
         raise ValueError(f"d_alpha needs s >= 0, got {s}")
     if s == 0:
         return u
-    return _apply_multiplier_array(u, np.abs(u.grid.xi) ** s)
+    return _apply_multiplier_array(u, u.grid.xi_r ** s)
 
 
 def resolvent(u: RealField, c: float, p: DispersionSymbol) -> RealField:
     """Apply (c + p(D))^{-1}; exact right-inverse of c + p(D) on the grid."""
     if not c > 0:
         raise ValueError(f"resolvent needs c > 0, got {c}")
-    return _apply_multiplier_array(u, 1.0 / (c + p(u.grid.xi)))
+    return _apply_multiplier_array(u, 1.0 / (c + p(u.grid.xi_r)))
 
 
 def integrate(u: RealField) -> float:
@@ -229,25 +238,36 @@ def l2_norm(u: RealField) -> float:
     return float(np.sqrt(u.grid.dx) * np.linalg.norm(u.values))
 
 
+def quad_form(uhat: np.ndarray, grid: Grid1D, weight: np.ndarray | float) -> float:
+    """Parseval form of int (m(D)u) u dx from the one-sided spectrum
+    uhat = rfft(u), with weight = m(xi_r) for a real, even symbol m.
+
+    Interior modes stand for the pair +-xi and count twice; the mean and
+    Nyquist modes count once.
+    """
+    power = weight * (uhat.real**2 + uhat.imag**2)
+    return float(grid.dx / grid.n * (2.0 * np.sum(power) - power[0] - power[-1]))
+
+
 def energy_norm(u: RealField, alpha: float) -> float:
     """The norm (|u|_2^2 + |D^{alpha/2} u|_2^2)^{1/2} of the energy space."""
     if not (0.0 < alpha <= 2.0):
         raise ValueError(f"energy_norm needs alpha in (0, 2], got {alpha}")
-    uhat = np.fft.fft(u.values)
-    w = u.grid.dx / u.grid.n  # Parseval weight
-    power = np.abs(uhat) ** 2
-    l2_sq = w * np.sum(power)
-    h_sq = w * np.sum(np.abs(u.grid.xi) ** alpha * power)
-    return float(np.sqrt(l2_sq + h_sq))
+    grid = u.grid
+    return float(np.sqrt(quad_form(np.fft.rfft(u.values), grid, 1.0 + grid.xi_r**alpha)))
 
 
-def shift_field(u: RealField, y: float) -> RealField:
-    """Translate to u(. + y) by Fourier phases; exact for band-limited fields.
+def _shift_phase(grid: Grid1D, y: float) -> np.ndarray:
+    """One-sided multiplier of the translation u -> u(. + y).
 
     The Nyquist mode has no well-defined translation direction and is moved
     with the real-even convention cos(xi_nyq * y).
     """
-    grid = u.grid
-    phase = np.exp(1j * grid.xi * y)
-    phase[grid.n // 2] = np.cos(grid.xi[grid.n // 2] * y)
-    return _apply_multiplier_array(u, phase)
+    phase = np.exp(1j * grid.xi_r * y)
+    phase[-1] = np.cos(grid.xi_r[-1] * y)
+    return phase
+
+
+def shift_field(u: RealField, y: float) -> RealField:
+    """Translate to u(. + y) by Fourier phases; exact for band-limited fields."""
+    return _apply_multiplier_array(u, _shift_phase(u.grid, y))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .functionals import energy_fkdv, mass, weinstein
 from .ground_state import MinimizerResult, SolitaryWave, dilate_field, minimize_iq
-from .spectral import PURE_POWER, DispersionSymbol, Grid1D, RealField, field_from_values
+from .spectral import PURE_POWER, DispersionSymbol, Grid1D, RealField, field_from_values, quad_form
 
 __all__ = [
     "IdentityReport",
@@ -65,9 +65,7 @@ def _report(name: str, lhs: float, rhs: float, tol: float) -> IdentityReport:
 
 def _profile_integrals(u: RealField, alpha: float):
     grid = u.grid
-    uhat = np.fft.fft(u.values)
-    w = grid.dx / grid.n
-    grad_sq = float(np.sum(np.abs(grid.xi) ** alpha * np.abs(uhat) ** 2) * w)
+    grad_sq = quad_form(np.fft.rfft(u.values), grid, grid.xi_r**alpha)
     l2_sq = float(grid.dx * np.sum(u.values**2))
     cube = float(grid.dx * np.sum(u.values**3))
     return grad_sq, l2_sq, cube
@@ -120,17 +118,15 @@ def pohojaev_functional_check(phi: RealField, alpha: float,
             f"boundary value {boundary:.3e} exceeds 1e-10 * sup {sup:.3e}; "
             "the x-weighted identity is not periodic-safe"
         )
-    phat = np.fft.fft(phi.values)
-    dphi = np.fft.ifft(1j * grid.xi * phat).real      # Nyquist of xi*fft handled below
+    phat = np.fft.rfft(phi.values)
     # the Nyquist mode of an odd multiplier is dropped
-    nyq = grid.n // 2
-    if grid.n % 2 == 0:
-        dmult = 1j * grid.xi.copy()
-        dmult[nyq] = 0.0
-        dphi = np.fft.ifft(dmult * phat).real
-    dalpha_phi = np.fft.ifft(np.abs(grid.xi) ** alpha * phat).real
+    dmult = 1j * grid.xi_r
+    dmult[-1] = 0.0
+    dphi = np.fft.irfft(dmult * phat, n=grid.n)
+    mult = grid.xi_r**alpha
+    dalpha_phi = np.fft.irfft(mult * phat, n=grid.n)
     weighted = float(grid.dx * np.sum(dalpha_phi * grid.x * dphi))
-    g = float(grid.dx / grid.n * np.sum(np.abs(grid.xi) ** alpha * np.abs(phat) ** 2))
+    g = quad_form(phat, grid, mult)
     return _report("pohozaev_functional", weighted + g, (alpha + 1.0) / 2.0 * g, tolerance)
 
 
@@ -190,15 +186,14 @@ def commutator_decay(alpha: float, v: RealField, r_list: Sequence[float],
         raise ValueError(
             f"cutoff support [-2r, 2r] with r = {rs[-1]} exceeds half the box (L = {grid.L})"
         )
-    mult = np.abs(grid.xi) ** alpha
-    vhat = np.fft.fft(v.values)
-    dv = np.fft.ifft(mult * vhat).real
+    mult = grid.xi_r**alpha
+    dv = np.fft.irfft(mult * np.fft.rfft(v.values), n=grid.n)
     norms = []
     for r in rs:
         cut = smooth_bump(grid.x / r)
         if complement:
             cut = np.sqrt(np.clip(1.0 - cut**2, 0.0, 1.0))
-        comm = np.fft.ifft(mult * np.fft.fft(cut * v.values)).real - cut * dv
+        comm = np.fft.irfft(mult * np.fft.rfft(cut * v.values), n=grid.n) - cut * dv
         norms.append(float(np.sqrt(grid.dx * np.sum(comm**2))))
     degenerate = any(nm <= 1e-300 for nm in norms) or len(norms) < 2
     if degenerate:
@@ -220,11 +215,10 @@ def saturating_field(grid: Grid1D, alpha_exponent: float = 0.75,
     families; rapidly decaying fields decay strictly faster, like
     r^(-(alpha + 1/2)).
     """
-    xi = grid.xi
-    amp = np.zeros(grid.n)
-    nz = xi != 0.0
-    amp[nz] = np.abs(xi[nz]) ** (-alpha_exponent) * np.exp(-((xi[nz] / rolloff) ** 2))
-    vals = np.fft.ifft(amp).real
+    xi_r = grid.xi_r
+    amp = np.zeros(xi_r.size)
+    amp[1:] = xi_r[1:] ** (-alpha_exponent) * np.exp(-((xi_r[1:] / rolloff) ** 2))
+    vals = np.fft.irfft(amp, n=grid.n)
     vals = vals / np.max(np.abs(vals))
     return field_from_values(grid, vals)
 
@@ -335,12 +329,11 @@ def make_scan_battery(grid: Grid1D, seed: int, count: int = 20,
     n_random = count - len(fields)
     n_modes = max(2, int(band_fraction * grid.n / 2))
     for _ in range(n_random):
-        coef = np.zeros(grid.n, dtype=complex)
+        coef = np.zeros(grid.n // 2 + 1, dtype=complex)
         re = rng.standard_normal(n_modes)
         im = rng.standard_normal(n_modes)
         coef[1 : n_modes + 1] = re + 1j * im
-        coef[-n_modes:] = np.conj(coef[1 : n_modes + 1][::-1])
-        vals = np.fft.ifft(coef).real
+        vals = np.fft.irfft(coef, n=grid.n)
         vals /= max(np.max(np.abs(vals)), 1e-30)
         # localize so the field represents a line function
         vals *= np.exp(-((grid.x / (grid.L / 4.0)) ** 2))

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from fracsol import field_from_values, make_grid
 from fracsol.cli import main
+from fracsol.io import save_profile
 
 
 def read(path):
@@ -48,6 +50,14 @@ class TestGroundStateCommand:
                      "--L", "200"])
         assert code == 2
 
+    def test_zero_max_iter_exit_2(self, tmp_path):
+        report = str(tmp_path / "err.json")
+        code = main(["ground-state", "--max-iter", "0", "--n", "256", "--L", "20",
+                     "--report", report])
+        assert code == 2
+        payload = json.load(open(report))
+        assert payload["error"] == "ValueError"
+
     def test_numerical_failure_exit_1(self, tmp_path):
         report = str(tmp_path / "err.json")
         code = main(["ground-state", "--alpha", "0.75", "--c", "1", "--n", "4096",
@@ -76,6 +86,17 @@ class TestConfigFile:
 
 
 class TestOtherCommands:
+    def test_verify_rejects_unknown_symbol_kind(self, tmp_path):
+        grid = make_grid(256, 20.0)
+        path = str(tmp_path / "q.csv")
+        save_profile(field_from_values(grid, np.exp(-grid.x**2)), path,
+                     {"c": 1.0, "alpha": 0.75, "family": "fkdv", "symbol": "bogus"})
+        report = str(tmp_path / "v.json")
+        assert main(["verify", "--profile", path, "--report", report]) == 2
+        payload = json.load(open(report))
+        assert payload["error"] == "ValueError"
+        assert "bogus" in payload["message"]
+
     def test_rescale_command(self, tmp_path):
         src = str(tmp_path / "q.csv")
         assert main(["ground-state", "--alpha", "1.0", "--c", "1", "--n", "4096",

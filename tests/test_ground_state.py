@@ -114,6 +114,11 @@ class TestPetviashvili:
             petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0,
                          grid_desk, max_iter=3)
 
+    def test_rejects_max_iter_below_one(self, grid_desk):
+        with pytest.raises(ValueError, match="max_iter"):
+            petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0,
+                         grid_desk, max_iter=0)
+
     def test_zero_collapse_detected_without_stabilization(self, grid_desk):
         seed = field_from_values(grid_desk, 1e-3 * np.exp(-grid_desk.x**2))
         with pytest.raises(NoSolitaryWaveError):

@@ -93,6 +93,13 @@ class TestWaveRoundTrip:
         with pytest.raises(ValueError, match="lacks"):
             load_wave(path)
 
+    def test_wave_rejects_unknown_symbol_kind(self, tmp_path, field):
+        path = str(tmp_path / "p.csv")
+        save_profile(field, path, {"c": 1.0, "alpha": 0.75, "family": "fkdv",
+                                   "symbol": "bogus"})
+        with pytest.raises(ValueError, match="bogus"):
+            load_wave(path)
+
 
 class TestTraceCSV:
     def test_fkdv_trace_columns(self, tmp_path, q075_wave):

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,12 @@ from fracsol import (
     integrate,
     l2_norm,
     make_grid,
+    quad_form,
     resolvent,
     shift_field,
 )
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fracsol"
 
 
 def band_limited(grid, rng, n_modes=50):
@@ -20,6 +26,12 @@ def band_limited(grid, rng, n_modes=50):
     coef[1 : n_modes + 1] = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
     coef[-n_modes:] = np.conj(coef[1 : n_modes + 1][::-1])
     return field_from_values(grid, np.fft.ifft(coef).real)
+
+
+def mean_and_nyquist(grid):
+    """The two modes the one-sided spectrum counts once: the mean and the
+    Nyquist mode cos(pi x / dx)."""
+    return field_from_values(grid, 0.3 + 0.2 * np.cos(np.pi * grid.x / grid.dx))
 
 
 class TestMakeGrid:
@@ -197,6 +209,16 @@ class TestShiftField:
         out = shift_field(u, np.pi / 2.0)
         np.testing.assert_allclose(out.values, np.cos(g.x), atol=1e-12)
 
+    def test_nyquist_convention_matches_full_spectrum(self, rng):
+        g = make_grid(128, 10.0)
+        u = band_limited(g, rng, 20) + mean_and_nyquist(g)
+        y = 0.37
+        # full-spectrum phase with the real-even cos convention at Nyquist
+        phase = np.exp(1j * g.xi * y)
+        phase[g.n // 2] = np.cos(g.xi[g.n // 2] * y)
+        expected = np.fft.ifft(phase * np.fft.fft(u.values)).real
+        np.testing.assert_allclose(shift_field(u, y).values, expected, rtol=0, atol=1e-13)
+
     def test_preserves_norms(self, rng):
         g = make_grid(256, 15.0)
         u = band_limited(g, rng, 60)
@@ -218,11 +240,16 @@ class TestAlgebraicProperties:
 
     def test_parseval(self, rng):
         g = make_grid(512, 30.0)
-        u = band_limited(g, rng, 100)
+        u = band_limited(g, rng, 100) + mean_and_nyquist(g)
         physical = g.dx * np.sum(u.values**2)
         uhat = np.fft.fft(u.values)
         spectral = g.dx / g.n * np.sum(np.abs(uhat) ** 2)
         assert abs(physical - spectral) < 1e-12 * physical
+        # the one-sided form against the full-spectrum sum, with and without a weight
+        half = np.fft.rfft(u.values)
+        assert abs(quad_form(half, g, 1.0) - spectral) < 1e-12 * spectral
+        full = g.dx / g.n * np.sum((1.0 + np.abs(g.xi) ** 0.7) * np.abs(uhat) ** 2)
+        assert abs(quad_form(half, g, 1.0 + g.xi_r**0.7) - full) < 1e-12 * full
 
     def test_linearity(self, rng):
         g = make_grid(128, 8.0)
@@ -257,3 +284,19 @@ class TestFieldValidation:
         b = field_from_values(make_grid(64, 6.0), np.zeros(64))
         with pytest.raises(ValueError):
             _ = a + b
+
+
+class TestKernelOwnership:
+    def test_half_spectrum_convention_lives_in_spectral(self):
+        """1D transforms of real fields are rfft/irfft, and only the grid
+        modules build wavenumber lattices (kp keeps its own 2D ones)."""
+        sources = sorted(SRC.glob("*.py"))
+        assert sources
+        offenders = []
+        for path in sources:
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+                complex_1d = re.search(r"np\.fft\.(fft|ifft)\(", line)
+                lattice = "fftfreq" in line and path.name not in ("spectral.py", "kp.py")
+                if complex_1d or lattice:
+                    offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+        assert not offenders, "\n".join(offenders)
