@@ -1,8 +1,13 @@
 """Command-line front end: solves, verification suites, evolution runs,
 stability experiments, and parameter sweeps, with JSON/CSV artifacts.
 
+Every subcommand is one entry of ``COMMANDS``: its handler, its help line and
+its defaults.  Each default declares one flag (``--key``; a bool default gives
+``--key/--no-key``) and one config-file key, both typed by ``_convert``.
 Configuration precedence: command-line flags override the optional
-``key = value`` config file (--config), which overrides built-in defaults.
+``key = value`` config file (--config), which overrides built-in defaults.  A
+config key that no subcommand accepts is a usage error, so one file can serve
+several subcommands but a typo cannot pass silently.
 All randomness flows from the --seed flag.  Reports embed the resolved
 configuration and serialize deterministically: identical configuration and
 seed give byte-identical files.
@@ -30,7 +35,6 @@ from .ground_state import (
     FKDV,
     GFKDV,
     ModelSpec,
-    cstar,
     minimize_iq,
     petviashvili,
     rescale_solitary,
@@ -66,27 +70,27 @@ def _parse_config_file(path):
     return cfg
 
 
-def _coerce(value, like):
-    if isinstance(value, str):
-        if isinstance(like, bool):
-            return value.lower() in ("1", "true", "yes", "on")
-        if isinstance(like, int):
-            return int(value)
-        if isinstance(like, float):
-            return float(value)
-    return value
+def _convert(default):
+    """String-to-value converter for a key, shared by its flag and its
+    config-file entry: the default's own type, with yes/no words for bools."""
+    if isinstance(default, bool):
+        return lambda value: value.lower() in ("1", "true", "yes", "on")
+    return type(default)
 
 
 def _resolve(args, defaults):
     """flags > config file > defaults; returns the full resolved dict."""
-    file_cfg = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    file_cfg = _parse_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"{args.config}: no command accepts config key(s) {', '.join(unknown)}")
     resolved = {}
     for key, default in defaults.items():
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
         elif key in file_cfg:
-            resolved[key] = _coerce(file_cfg[key], default)
+            resolved[key] = _convert(default)(file_cfg[key])
         else:
             resolved[key] = default
     return resolved
@@ -132,12 +136,7 @@ def _print_table(reports):
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_ground_state(args) -> int:
-    defaults = dict(family=FKDV, symbol="power", alpha=0.75, beta=0.0, p=1,
-                    bbm_form="paper", c=1.0, n=4096, L=200.0, tol=1e-10,
-                    max_iter=500, identity_tol=DESK_IDENTITY_TOL, out="",
-                    report="")
-    cfg = _resolve(args, defaults)
+def cmd_ground_state(cfg, args) -> int:
     model = _model(cfg)
     grid = make_grid(cfg["n"], cfg["L"])
     wave = petviashvili(model, cfg["c"], grid, tol=cfg["tol"], max_iter=cfg["max_iter"])
@@ -162,9 +161,7 @@ def cmd_ground_state(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_rescale(args) -> int:
-    defaults = dict(profile="", c_new=2.0, out="", report="", mass_tol=1e-4)
-    cfg = _resolve(args, defaults)
+def cmd_rescale(cfg, args) -> int:
     if not cfg["profile"]:
         raise ValueError("rescale needs --profile")
     wave = fio.load_wave(cfg["profile"])
@@ -189,12 +186,7 @@ def cmd_rescale(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify(args) -> int:
-    # the rescaled-family members in the scan battery sit within the same
-    # periodization envelope as the identity suite, hence the desk-scale slack
-    defaults = dict(profile="", identity_tol=DESK_IDENTITY_TOL, spread_tol=1e-3,
-                    gn_slack=DESK_IDENTITY_TOL, seed=0, report="")
-    cfg = _resolve(args, defaults)
+def cmd_verify(cfg, args) -> int:
     if not cfg["profile"]:
         raise ValueError("verify needs --profile")
     wave = fio.load_wave(cfg["profile"])
@@ -206,7 +198,7 @@ def cmd_verify(args) -> int:
     poho = [pohojaev_functional_check(gaussian, a, tolerance=cfg["identity_tol"])
             for a in (0.0, 0.6, 1.0, 2.0)]
 
-    family = [rescale_solitary(wave, f * wave.c) for f in (0.5, 2.0)]
+    family = [petviashvili(wave.model, f * wave.c, grid) for f in (0.5, 2.0)]
     js = [weinstein(w.profile, alpha) for w in (family[0], wave, family[1])]
     spread = (max(js) - min(js)) / min(js)
     spread_ok = spread < cfg["spread_tol"]
@@ -231,10 +223,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_evolve(args) -> int:
-    defaults = dict(profile="", T=20.0, dt=0.0, record_every=0, track=True,
-                    dealias=True, out="", report="")
-    cfg = _resolve(args, defaults)
+def cmd_evolve(cfg, args) -> int:
     if not cfg["profile"]:
         raise ValueError("evolve needs --profile")
     wave = fio.load_wave(cfg["profile"])
@@ -260,12 +249,7 @@ def cmd_evolve(args) -> int:
     return 1 if trace.flag else 0
 
 
-def cmd_stability(args) -> int:
-    defaults = dict(family=FKDV, symbol="power", alpha=0.75, beta=0.0, p=1,
-                    bbm_form="paper", c=1.0, delta=0.01, perturb="gaussian",
-                    T=50.0, dt=0.0, n=8192, L=200.0, seed=0, K=5.0,
-                    gate_tol=DESK_IDENTITY_TOL, out="", report="")
-    cfg = _resolve(args, defaults)
+def cmd_stability(cfg, args) -> int:
     model = _model(cfg)
     grid = make_grid(cfg["n"], cfg["L"])
     dt = cfg["dt"] if cfg["dt"] > 0 else 2.0**-9
@@ -281,10 +265,7 @@ def cmd_stability(args) -> int:
     return 0 if report.verdict != "growing" else 1
 
 
-def cmd_minimize_iq(args) -> int:
-    defaults = dict(alpha=0.75, q=4.0, n=4096, L=200.0, tol=1e-8,
-                    max_iter=20000, out="", report="")
-    cfg = _resolve(args, defaults)
+def cmd_minimize_iq(cfg, args) -> int:
     grid = make_grid(cfg["n"], cfg["L"])
     res = minimize_iq(cfg["q"], cfg["alpha"], grid, tol=cfg["tol"],
                       max_iter=cfg["max_iter"])
@@ -304,10 +285,7 @@ def cmd_minimize_iq(args) -> int:
     return 0 if (res.converged and res.I_q < 0) else 1
 
 
-def cmd_iq_scaling(args) -> int:
-    defaults = dict(alpha=0.75, q=4.0, thetas="2", n=4096, L=200.0,
-                    tol=1e-3, report="")
-    cfg = _resolve(args, defaults)
+def cmd_iq_scaling(cfg, args) -> int:
     grid = make_grid(cfg["n"], cfg["L"])
     reports = iq_scaling_check(cfg["alpha"], cfg["q"], _floats(cfg["thetas"]),
                                grid, tolerance=cfg["tol"])
@@ -316,11 +294,7 @@ def cmd_iq_scaling(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_commutator(args) -> int:
-    defaults = dict(alpha=0.75, field="algebraic", radii="4,8,16,32",
-                    n=16384, L=1600.0, complement=False, slope_tol=0.15,
-                    report="")
-    cfg = _resolve(args, defaults)
+def cmd_commutator(cfg, args) -> int:
     grid = make_grid(cfg["n"], cfg["L"])
     if cfg["field"] == "gaussian":
         v = field_from_values(grid, np.exp(-grid.x**2))
@@ -345,11 +319,7 @@ def cmd_commutator(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_kp_check(args) -> int:
-    defaults = dict(alphas="0.5,0.8,1.0,1.3333333333333333,1.9", cs="0.5,1,2",
-                    blt_alpha=0.9, nx=128, ny=128, Lx=20.0, Ly=20.0,
-                    residual_tol=1e-12, report="")
-    cfg = _resolve(args, defaults)
+def cmd_kp_check(cfg, args) -> int:
     chain = []
     worst = 0.0
     for alpha in _floats(cfg["alphas"]):
@@ -384,12 +354,7 @@ def cmd_kp_check(args) -> int:
     return 0 if ok else 1
 
 
-SWEEPABLE = ("ground-state", "stability", "minimize-iq")
-
-
-def cmd_sweep(args) -> int:
-    defaults = dict(command="ground-state", out="sweep_out", jobs=0)
-    cfg = _resolve(args, defaults)
+def cmd_sweep(cfg, args) -> int:
     if cfg["command"] not in SWEEPABLE:
         raise ValueError(f"sweep supports {SWEEPABLE}, got {cfg['command']!r}")
     jobs = cfg["jobs"] or int(os.environ.get("FRACSOL_JOBS", "1"))
@@ -417,7 +382,10 @@ def cmd_sweep(args) -> int:
         argv += ["--report", os.path.join(pt_dir, "report.json")]
         if cfg["command"] in ("ground-state", "minimize-iq"):
             argv += ["--out", os.path.join(pt_dir, "profile.csv")]
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit:  # argparse rejected the point's flags
+            code = 2
         return {"point": dict(pt), "dir": pt_dir, "exit_code": code}
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
@@ -429,68 +397,52 @@ def cmd_sweep(args) -> int:
     return worst
 
 
-# -- argument wiring --------------------------------------------------------------
+# -- command table ----------------------------------------------------------------
 
 
-def _add_common(sub, *names):
-    spec = {
-        "family": dict(type=str, choices=(FKDV, FBBM, GFKDV)),
-        "symbol": dict(type=str, choices=("power", "whitham", "whitham-tension")),
-        "alpha": dict(type=float),
-        "beta": dict(type=float),
-        "p": dict(type=int),
-        "bbm_form": dict(type=str, choices=("paper", "derived"), dest="bbm_form"),
-        "c": dict(type=float),
-        "c_new": dict(type=float, dest="c_new"),
-        "q": dict(type=float),
-        "delta": dict(type=float),
-        "perturb": dict(type=str, choices=("gaussian", "dilation", "random")),
-        "n": dict(type=int),
-        "L": dict(type=float),
-        "nx": dict(type=int),
-        "ny": dict(type=int),
-        "Lx": dict(type=float),
-        "Ly": dict(type=float),
-        "tol": dict(type=float),
-        "max_iter": dict(type=int, dest="max_iter"),
-        "identity_tol": dict(type=float, dest="identity_tol"),
-        "gate_tol": dict(type=float, dest="gate_tol"),
-        "spread_tol": dict(type=float, dest="spread_tol"),
-        "gn_slack": dict(type=float, dest="gn_slack"),
-        "mass_tol": dict(type=float, dest="mass_tol"),
-        "residual_tol": dict(type=float, dest="residual_tol"),
-        "slope_tol": dict(type=float, dest="slope_tol"),
-        "blt_alpha": dict(type=float, dest="blt_alpha"),
-        "T": dict(type=float),
-        "dt": dict(type=float),
-        "record_every": dict(type=int, dest="record_every"),
-        "seed": dict(type=int),
-        "K": dict(type=float),
-        "thetas": dict(type=str),
-        "radii": dict(type=str),
-        "alphas": dict(type=str),
-        "cs": dict(type=str),
-        "field": dict(type=str),
-        "profile": dict(type=str),
-        "out": dict(type=str),
-        "report": dict(type=str),
-        "command": dict(type=str),
-        "jobs": dict(type=int),
-    }
-    flags = {
-        "track": "--track",
-        "dealias": "--dealias",
-        "complement": "--complement",
-    }
-    for name in names:
-        if name in flags:
-            sub.add_argument(flags[name], default=None,
-                             action=argparse.BooleanOptionalAction)
-        else:
-            kw = dict(spec[name])
-            kw.setdefault("default", None)
-            sub.add_argument(f"--{name.replace('_', '-')}", **kw)
-    sub.add_argument("--config", type=str, default=None)
+SWEEPABLE = ("ground-state", "stability", "minimize-iq")
+CHOICES = {
+    "family": (FKDV, FBBM, GFKDV),
+    "symbol": ("power", "whitham", "whitham-tension"),
+    "bbm_form": ("paper", "derived"),
+    "perturb": ("gaussian", "dilation", "random"),
+}
+MODEL = dict(family=FKDV, symbol="power", alpha=0.75, beta=0.0, p=1, bbm_form="paper", c=1.0)
+
+# name -> (handler, help, defaults); each default is one flag and one config key
+COMMANDS = {
+    "ground-state": (cmd_ground_state, "solitary-wave solve + identity suite", dict(
+        **MODEL, n=4096, L=200.0, tol=1e-10, max_iter=500,
+        identity_tol=DESK_IDENTITY_TOL, out="", report="")),
+    "rescale": (cmd_rescale, "velocity rescaling of a stored profile", dict(
+        profile="", c_new=2.0, mass_tol=1e-4, out="", report="")),
+    # the family members in the scan battery are fresh solves on the profile's
+    # grid, within the same periodization envelope as the identity suite,
+    # hence the desk-scale slack
+    "verify": (cmd_verify, "identity suite + functional checks on a profile", dict(
+        profile="", identity_tol=DESK_IDENTITY_TOL, spread_tol=1e-3,
+        gn_slack=DESK_IDENTITY_TOL, seed=0, report="")),
+    "evolve": (cmd_evolve, "time integration of a stored profile", dict(
+        profile="", T=20.0, dt=0.0, record_every=0, track=True, dealias=True,
+        out="", report="")),
+    "stability": (cmd_stability, "orbital-stability experiment", dict(
+        **MODEL, delta=0.01, perturb="gaussian", T=50.0, dt=0.0, n=8192, L=200.0,
+        seed=0, K=5.0, gate_tol=DESK_IDENTITY_TOL, out="", report="")),
+    "minimize-iq": (cmd_minimize_iq, "constrained energy minimization", dict(
+        alpha=0.75, q=4.0, n=4096, L=200.0, tol=1e-8, max_iter=20000, out="",
+        report="")),
+    "iq-scaling": (cmd_iq_scaling, "scaling law of the constrained minimum", dict(
+        alpha=0.75, q=4.0, thetas="2", n=4096, L=200.0, tol=1e-3, report="")),
+    "commutator": (cmd_commutator, "cutoff-commutator decay fit", dict(
+        alpha=0.75, field="algebraic", radii="4,8,16,32", n=16384, L=1600.0,
+        complement=False, slope_tol=0.15, report="")),
+    "kp-check": (cmd_kp_check, "2D identity chain + anisotropic GN battery", dict(
+        alphas="0.5,0.8,1.0,1.3333333333333333,1.9", cs="0.5,1,2", blt_alpha=0.9,
+        nx=128, ny=128, Lx=20.0, Ly=20.0, residual_tol=1e-12, report="")),
+    "sweep": (cmd_sweep, "cartesian parameter sweep of a command", dict(
+        command="ground-state", out="sweep_out", jobs=0)),
+}
+CONFIG_KEYS = {key for _, _, defaults in COMMANDS.values() for key in defaults}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,77 +452,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiments for fractional KdV/BBM-type equations.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    s = sub.add_parser("ground-state", help="solitary-wave solve + identity suite")
-    _add_common(s, "family", "symbol", "alpha", "beta", "p", "bbm_form", "c",
-                "n", "L", "tol", "max_iter", "identity_tol", "out", "report")
-    s.set_defaults(func=cmd_ground_state)
-
-    s = sub.add_parser("rescale", help="velocity rescaling of a stored profile")
-    _add_common(s, "profile", "c_new", "mass_tol", "out", "report")
-    s.set_defaults(func=cmd_rescale)
-
-    s = sub.add_parser("verify", help="identity suite + functional checks on a profile")
-    _add_common(s, "profile", "identity_tol", "spread_tol", "gn_slack", "seed", "report")
-    s.set_defaults(func=cmd_verify)
-
-    s = sub.add_parser("evolve", help="time integration of a stored profile")
-    _add_common(s, "profile", "T", "dt", "record_every", "track", "dealias",
-                "out", "report")
-    s.set_defaults(func=cmd_evolve)
-
-    s = sub.add_parser("stability", help="orbital-stability experiment")
-    _add_common(s, "family", "symbol", "alpha", "beta", "p", "bbm_form", "c",
-                "delta", "perturb", "T", "dt", "n", "L", "seed", "K",
-                "gate_tol", "out", "report")
-    s.set_defaults(func=cmd_stability)
-
-    s = sub.add_parser("minimize-iq", help="constrained energy minimization")
-    _add_common(s, "alpha", "q", "n", "L", "tol", "max_iter", "out", "report")
-    s.set_defaults(func=cmd_minimize_iq)
-
-    s = sub.add_parser("iq-scaling", help="scaling law of the constrained minimum")
-    _add_common(s, "alpha", "q", "thetas", "n", "L", "tol", "report")
-    s.set_defaults(func=cmd_iq_scaling)
-
-    s = sub.add_parser("commutator", help="cutoff-commutator decay fit")
-    _add_common(s, "alpha", "field", "radii", "n", "L", "complement",
-                "slope_tol", "report")
-    s.set_defaults(func=cmd_commutator)
-
-    s = sub.add_parser("kp-check", help="2D identity chain + anisotropic GN battery")
-    _add_common(s, "alphas", "cs", "blt_alpha", "nx", "ny", "Lx", "Ly",
-                "residual_tol", "report")
-    s.set_defaults(func=cmd_kp_check)
-
-    s = sub.add_parser("sweep", help="cartesian parameter sweep of a command")
-    _add_common(s, "command", "out", "jobs")
-    s.add_argument("--param", action="append",
-                   help="name=v1,v2,... (repeatable)")
-    s.set_defaults(func=cmd_sweep)
-
+    for name, (_, help_text, defaults) in COMMANDS.items():
+        s = sub.add_parser(name, help=help_text)
+        for key, default in defaults.items():
+            kw = (dict(action=argparse.BooleanOptionalAction) if isinstance(default, bool)
+                  else dict(type=_convert(default), choices=CHOICES.get(key)))
+            s.add_argument(f"--{key.replace('_', '-')}", **kw)
+        s.add_argument("--config", type=str)
+    sub.choices["sweep"].add_argument("--param", action="append",
+                                      help="name=v1,v2,... (repeatable)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, defaults = COMMANDS[args.cmd]
     try:
-        return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
+        return handler(_resolve(args, defaults), args)
+    except (ValueError, FileNotFoundError, NumericalError) as exc:
+        numerical = isinstance(exc, NumericalError)
         report = getattr(args, "report", None)
         if report:
-            fio.dump_json(payload, report)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        report = getattr(args, "report", None)
-        if report:
-            fio.dump_json(payload, report)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
+            fio.dump_json({"error": type(exc).__name__, "message": str(exc)}, report)
+        print(f"{'numerical failure' if numerical else 'error'}: {exc}", file=sys.stderr)
+        return 1 if numerical else 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError
-from .functionals import bbm_hamiltonian, energy_fkdv, mass
+from .functionals import Report, bbm_hamiltonian, energy_fkdv, mass
 from .ground_state import (
     FBBM,
     FKDV,
@@ -109,6 +109,8 @@ def evolve(
     """
     if not T > 0 or not dt > 0:
         raise ValueError("T and dt must be positive")
+    if not np.isfinite(T / dt):
+        raise ValueError(f"horizon T={T} is not a finite number of steps dt={dt}")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     grid = u0.grid
@@ -139,20 +141,22 @@ def evolve(
         if bound > 2.8:
             warnings.warn(f"fBBM RK4 stability bound violated: |lambda| dt = {bound:.2f} > 2.8")
         rhs_mult = -ik / bbm_weight
+        half_mask = mask / 2.0
 
         def rhs(vhat):
             v = np.fft.irfft(vhat, n=grid.n)
-            return rhs_mult * (vhat + mask * np.fft.rfft(v * v) / 2.0)
+            return rhs_mult * (vhat + half_mask * np.fft.rfft(v * v))
     else:
         cfl = dt * sup0 ** p * (2.0 / 3.0) * xi_r[-1]
         if cfl > 4.0:
             warnings.warn(f"fKdV advective stability bound violated: CFL = {cfl:.2f} > 4")
         lin = ik * model.symbol(xi_r)
         E, E2, Q, f1, f2, f3 = _etdrk4_coefficients(lin, dt)
+        nl_mult = -ik * mask / (p + 1)
 
         def nonlinear(vhat):
             v = np.fft.irfft(vhat, n=grid.n)
-            return -ik * mask * np.fft.rfft(v ** (p + 1)) / (p + 1)
+            return nl_mult * np.fft.rfft(v ** (p + 1))
 
     times, series_a, series_b, dists = [], [], [], []
 
@@ -282,7 +286,7 @@ def orbital_distance(u: RealField, Q: SolitaryWave, alpha: float) -> tuple[float
 
 
 @dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Report):
     alpha: float
     c: float
     delta: float
@@ -293,20 +297,6 @@ class StabilityReport:
     conserved_drift: float
     threshold: float
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "c": self.c,
-            "delta": self.delta,
-            "perturbation_kind": self.perturbation_kind,
-            "horizon": self.horizon,
-            "sup_distance": self.sup_distance,
-            "distance_at_end": self.distance_at_end,
-            "conserved_drift": self.conserved_drift,
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-        }
 
 
 def make_perturbation(grid: Grid1D, kind: str, Q: SolitaryWave, delta: float,

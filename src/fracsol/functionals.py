@@ -10,7 +10,7 @@ squared energy norm and ``bbm_hamiltonian`` is the integral of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,8 +30,19 @@ __all__ = [
 CUBE_FLOOR = 1e-14
 
 
+class Report:
+    """Base of the report dataclasses: ``to_dict`` is the JSON form, every
+    field under its own name except ``passed``, which is written as ``pass``."""
+
+    def to_dict(self) -> dict:
+        d = asdict(self)
+        if "passed" in d:
+            d["pass"] = d.pop("passed")
+        return d
+
+
 @dataclass(frozen=True)
-class FunctionalValue:
+class FunctionalValue(Report):
     """A functional together with its per-term decomposition.
 
     The value is the signed sum of the component entries.
@@ -40,13 +51,6 @@ class FunctionalValue:
     name: str
     value: float
     components: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "components": [[label, val] for label, val in self.components],
-        }
 
 
 def mass(u: RealField) -> float:
@@ -100,7 +104,7 @@ def weinstein(u: RealField, alpha: float) -> float:
 
 
 @dataclass(frozen=True)
-class GNReport:
+class GNReport(Report):
     """Evaluation of both sides of the Gagliardo-Nirenberg inequality."""
 
     alpha: float
@@ -109,16 +113,6 @@ class GNReport:
     rhs: float            # C * (int |D^{a/2}u|^2)^{1/2a} (int u^2)^{(3a-1)/2a}
     ratio: float          # lhs / (rhs without C) = 1 / weinstein(u)
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "constant": self.constant,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "holds": self.holds,
-        }
 
 
 def gn_check(u: RealField, alpha: float, C: float) -> GNReport:

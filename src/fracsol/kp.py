@@ -9,12 +9,12 @@ constructed fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .functionals import FunctionalValue
+from .functionals import FunctionalValue, Report
 from .spectral import _readonly
 
 __all__ = [
@@ -185,20 +185,9 @@ class KPConsistencyReport:
     trivial_only: bool     # eps = +1 forces d = e = 0
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.integrals.a,
-            "b": self.integrals.b,
-            "d": self.integrals.d,
-            "e": self.integrals.e,
-            "alpha": self.integrals.alpha,
-            "c": self.integrals.c,
-            "eps": self.integrals.eps,
-            "residual_po1": self.residual_po1,
-            "residual_po2": self.residual_po2,
-            "residual_energ": self.residual_energ,
-            "nonexistence": self.nonexistence,
-            "trivial_only": self.trivial_only,
-        }
+        """Flat JSON form: the integrals' fields beside the residuals."""
+        d = asdict(self)
+        return {**d.pop("integrals"), **d}
 
 
 def kp_identity_consistency(alpha: float, c: float, eps: int) -> KPConsistencyReport:
@@ -242,7 +231,7 @@ def kp_identity_consistency(alpha: float, c: float, eps: int) -> KPConsistencyRe
 
 
 @dataclass(frozen=True)
-class BLTReport:
+class BLTReport(Report):
     alpha: float
     ratio: float
     exp_l2: float
@@ -251,18 +240,6 @@ class BLTReport:
     l2: float
     hx: float
     transverse: float
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "ratio": self.ratio,
-            "exp_l2": self.exp_l2,
-            "exp_hx": self.exp_hx,
-            "cube": self.cube,
-            "l2": self.l2,
-            "hx": self.hx,
-            "transverse": self.transverse,
-        }
 
 
 def blt_ratio(f: RealField2D, alpha: float) -> BLTReport:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .functionals import energy_fkdv, mass, weinstein
+from .functionals import Report, energy_fkdv, mass, weinstein
 from .ground_state import MinimizerResult, SolitaryWave, dilate_field, minimize_iq
 from .spectral import PURE_POWER, DispersionSymbol, Grid1D, RealField, field_from_values, quad_form
 
@@ -36,23 +36,13 @@ RESIDUAL_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Report):
     name: str
     lhs: float
     rhs: float
     relative_residual: float
     tolerance: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relative_residual": self.relative_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
 def _report(name: str, lhs: float, rhs: float, tol: float) -> IdentityReport:
@@ -148,23 +138,13 @@ def smooth_bump(t: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CommutatorDecay:
+class CommutatorDecay(Report):
     alpha: float
     radii: tuple
     norms: tuple
     slope: float
     intercept: float
     degenerate: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "radii": list(self.radii),
-            "norms": list(self.norms),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "degenerate": self.degenerate,
-        }
 
 
 def commutator_decay(alpha: float, v: RealField, r_list: Sequence[float],
@@ -280,23 +260,13 @@ def iq_scaling_check(
 
 
 @dataclass(frozen=True)
-class GNScanReport:
+class GNScanReport(Report):
     alpha: float
     ground_value: float
     min_ratio: float
     argmin: int
     ratios: tuple
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "ground_value": self.ground_value,
-            "min_ratio": self.min_ratio,
-            "argmin": self.argmin,
-            "ratios": list(self.ratios),
-            "pass": self.passed,
-        }
 
 
 def gn_scan(Q: SolitaryWave, battery: Sequence[RealField], alpha: float,

@@ -1,11 +1,12 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from fracsol import field_from_values, make_grid
-from fracsol.cli import main
+from fracsol.cli import COMMANDS, _resolve, build_parser, main
 from fracsol.io import save_profile
 
 
@@ -32,8 +33,11 @@ class TestGroundStateCommand:
         out = str(tmp_path / "q.csv")
         assert main(["ground-state", "--alpha", "0.75", "--c", "1", "--n", "4096",
                      "--L", "200", "--out", out]) == 0
-        assert main(["verify", "--profile", out,
-                     "--report", str(tmp_path / "v.json")]) == 0
+        # every profile behind a verdict meets its residual bound: no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--profile", out,
+                         "--report", str(tmp_path / "v.json")]) == 0
 
     def test_determinism(self, tmp_path):
         # identical resolved config (same paths, same seed) twice over
@@ -83,6 +87,48 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("alpha 0.8\n")
         assert main(["ground-state", "--config", str(cfg)]) == 2
+
+    def test_unknown_key_rejected(self, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("alpah = 0.9\n")
+        report = str(tmp_path / "err.json")
+        assert main(["ground-state", "--config", str(cfg), "--n", "256", "--L", "20",
+                     "--report", report]) == 2
+        payload = json.load(open(report))
+        assert payload["error"] == "ValueError"
+        assert "alpah" in payload["message"]
+
+    def test_other_command_key_allowed(self, tmp_path):
+        # one file can serve several commands: evolve's keys pass ground-state
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("alpha = 0.8\nn = 4096\nL = 200\ntrack = no\ndealias = yes\n")
+        report = str(tmp_path / "r.json")
+        assert main(["ground-state", "--config", str(cfg), "--report", report]) == 0
+        assert "track" not in json.load(open(report))["config"]
+
+
+def _table_keys():
+    return [(cmd, key) for cmd, (_, _, defaults) in COMMANDS.items() for key in defaults]
+
+
+@pytest.mark.parametrize("cmd,key", _table_keys())
+def test_flag_and_config_parity(cmd, key, tmp_path):
+    """A key's default, given as a flag or as a config entry, resolves to
+    itself with its own type."""
+    defaults = COMMANDS[cmd][2]
+    default = defaults[key]
+    flag = f"--{key.replace('_', '-')}"
+    if isinstance(default, bool):
+        argv = [flag if default else f"--no-{flag[2:]}"]
+    else:
+        argv = [flag, str(default)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {default}\n")
+    for args in (build_parser().parse_args([cmd] + argv),
+                 build_parser().parse_args([cmd, "--config", str(cfg)])):
+        value = _resolve(args, defaults)[key]
+        assert value == default
+        assert type(value) is type(default)
 
 
 class TestOtherCommands:
@@ -160,6 +206,13 @@ class TestOtherCommands:
         payload = json.load(open(report))
         assert payload["verdict"] == "bounded"
 
+    def test_stability_infinite_horizon_exit_2(self, tmp_path):
+        report = str(tmp_path / "s.json")
+        assert main(["stability", "--T", "inf", "--n", "4096", "--L", "200",
+                     "--report", report]) == 2
+        payload = json.load(open(report))
+        assert payload["error"] == "ValueError"
+
     def test_iq_scaling_command(self, tmp_path):
         report = str(tmp_path / "iq.json")
         code = main(["iq-scaling", "--alpha", "0.75", "--q", "4.0", "--thetas", "1",
@@ -192,3 +245,13 @@ class TestSweep:
     def test_sweep_requires_params(self, tmp_path):
         assert main(["sweep", "--command", "ground-state",
                      "--out", str(tmp_path / "s")]) == 2
+
+    def test_rejected_point_recorded(self, tmp_path):
+        # argparse rejects n=abc inside the worker; the other point still runs
+        out = str(tmp_path / "sweep3")
+        code = main(["sweep", "--command", "ground-state", "--out", out,
+                     "--jobs", "2", "--param", "n=abc,4096", "--param", "L=200"])
+        assert code == 2
+        index = json.load(open(os.path.join(out, "index.json")))
+        codes = {entry["point"]["n"]: entry["exit_code"] for entry in index["points"]}
+        assert codes == {"abc": 2, "4096": 0}

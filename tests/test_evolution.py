@@ -109,6 +109,8 @@ class TestEvolve:
             evolve(wave8.model, wave8.profile, -1.0, 0.01)
         with pytest.raises(ValueError):
             evolve(wave8.model, wave8.profile, 1.0, 0.01, record_every=0)
+        with pytest.raises(ValueError):
+            evolve(wave8.model, wave8.profile, float("inf"), 0.01)
 
 
 class TestOrbitalDistance:
