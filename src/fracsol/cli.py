@@ -467,13 +467,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, _, defaults = COMMANDS[args.cmd]
+    report = getattr(args, "report", None)  # the flag, until the config resolves
     try:
-        return handler(_resolve(args, defaults), args)
-    except (ValueError, FileNotFoundError, NumericalError) as exc:
+        cfg = _resolve(args, defaults)
+        report = cfg.get("report")
+        return handler(cfg, args)
+    except (ValueError, OSError, NumericalError) as exc:
         numerical = isinstance(exc, NumericalError)
-        report = getattr(args, "report", None)
         if report:
-            fio.dump_json({"error": type(exc).__name__, "message": str(exc)}, report)
+            try:
+                fio.dump_json({"error": type(exc).__name__, "message": str(exc)}, report)
+            except OSError as write_exc:
+                print(f"error: cannot write the error report: {write_exc}", file=sys.stderr)
         print(f"{'numerical failure' if numerical else 'error'}: {exc}", file=sys.stderr)
         return 1 if numerical else 2
 

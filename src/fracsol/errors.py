@@ -1,6 +1,6 @@
 """Exception taxonomy: parameter problems are ValueError subclasses, runtime
 numerics (non-convergence, blow-up, collapse) are NumericalError subclasses.
-The CLI maps the former to exit code 2 and the latter to exit code 1."""
+The CLI maps the former and file errors to exit code 2, the latter to 1."""
 
 
 class NumericalError(RuntimeError):

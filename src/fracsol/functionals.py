@@ -3,8 +3,8 @@
 Sign conventions: the cubic integral enters the energy with the signed
 ``u**3`` while the Weinstein ratio and the Gagliardo-Nirenberg check use
 ``|u|**3``; the two differ for sign-changing fields.  The BBM pair keeps
-the factor 1/2 on the quadratic form, i.e. ``bbm_quadratic`` is half the
-squared energy norm and ``bbm_hamiltonian`` is the integral of
+the factor 1/2 on the quadratic form, i.e. ``bbm_quadratic`` is half of
+int ((1 + p(D)) u) u and ``bbm_hamiltonian`` is the integral of
 ``u^2/2 + u^3/6``.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .spectral import DispersionSymbol, RealField, energy_norm, quad_form
+from .spectral import DispersionSymbol, RealField, quad_form
 
 __all__ = [
     "FunctionalValue",
@@ -75,9 +75,10 @@ def energy_fkdv(u: RealField, p_symbol: DispersionSymbol, p: int = 1) -> Functio
     )
 
 
-def bbm_quadratic(u: RealField, alpha: float) -> float:
-    """P(u) = (1/2) int (u^2 + |D^{alpha/2} u|^2), half the squared energy norm."""
-    return 0.5 * energy_norm(u, alpha) ** 2
+def bbm_quadratic(u: RealField, p_symbol: DispersionSymbol) -> float:
+    """P(u) = (1/2) int (u^2 + |p(D)^{1/2} u|^2): for |xi|^alpha, half the squared energy norm."""
+    grid = u.grid
+    return 0.5 * quad_form(np.fft.rfft(u.values), grid, 1.0 + p_symbol(grid.xi_r))
 
 
 def bbm_hamiltonian(u: RealField) -> float:

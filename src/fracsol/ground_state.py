@@ -51,6 +51,8 @@ FBBM = "fbbm"
 GFKDV = "gfkdv"
 
 ZERO_COLLAPSE = 1e-8
+INTERP_CHUNK = 512   # evaluation points per block of sample_interpolant
+DILATE_TAPER = 0.1   # outer fraction of a dilated support rolled off to zero
 
 
 @dataclass(frozen=True)
@@ -241,7 +243,7 @@ def _interp_weights(u: RealField):
     return weights, grid.xi_r
 
 
-def sample_interpolant(u: RealField, points: np.ndarray, chunk: int = 512) -> np.ndarray:
+def sample_interpolant(u: RealField, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of u at arbitrary points.
 
     Exact (to roundoff) for the band-limited function the samples represent;
@@ -255,8 +257,8 @@ def sample_interpolant(u: RealField, points: np.ndarray, chunk: int = 512) -> np
     flat = pts.ravel()
     res = out.ravel()
     x0 = grid.x[0]
-    for start in range(0, flat.size, chunk):
-        sl = slice(start, min(start + chunk, flat.size))
+    for start in range(0, flat.size, INTERP_CHUNK):
+        sl = slice(start, min(start + INTERP_CHUNK, flat.size))
         phases = np.exp(1j * np.outer(flat[sl] - x0, xi_r))
         res[sl] = (phases @ weights).real
     return out
@@ -290,13 +292,12 @@ def upsample_field(u: RealField, n_new: int) -> RealField:
     return field_from_values(fine, vals)
 
 
-def dilate_field(u: RealField, lam: float, amplitude: float = 1.0,
-                 taper: float = 0.1) -> RealField:
+def dilate_field(u: RealField, lam: float, amplitude: float = 1.0) -> RealField:
     """The field amplitude * u(lam * x), extending u by zero outside the box.
 
     Zero extension is the line-function reading of the samples; it is
     faithful only when u is negligible at the box boundary.  For lam > 1 the
-    dilated support ends inside the box; its outer `taper` fraction is rolled
+    dilated support ends inside the box; its outer DILATE_TAPER fraction is rolled
     off with a smooth cosine ramp so the splice to zero stays
     derivative-friendly (the ramp only touches boundary-tail-sized values).
     """
@@ -311,9 +312,9 @@ def dilate_field(u: RealField, lam: float, amplitude: float = 1.0,
         vals[inside] = sample_interpolant_uniform(
             u, start=y[k0], step=lam * grid.dx, count=inside.size
         )
-        if lam > 1.0 and 0.0 < taper < 1.0:
+        if lam > 1.0:
             edge = grid.L / lam
-            flat = (1.0 - taper) * edge
+            flat = (1.0 - DILATE_TAPER) * edge
             t = (np.abs(grid.x[inside]) - flat) / (edge - flat)
             ramp = np.where(t <= 0.0, 1.0,
                             np.where(t >= 1.0, 0.0, 0.5 * (1.0 + np.cos(np.pi * np.clip(t, 0, 1)))))
@@ -379,10 +380,8 @@ def minimize_iq(
     q: float,
     alpha: float,
     grid: Grid1D,
-    step: Optional[float] = None,
     tol: float = 1e-8,
     max_iter: int = 20000,
-    seed_field: Optional[RealField] = None,
 ) -> MinimizerResult:
     """Minimize E(u) = (1/2)|D^{a/2}u|_2^2 - (1/6) int u^3 at fixed mass q.
 
@@ -402,10 +401,7 @@ def minimize_iq(
     mult = grid.xi_r**alpha
     xi_max_pow = float(mult.max())
 
-    if seed_field is None:
-        u = np.exp(-((grid.x / 3.0) ** 2))
-    else:
-        u = seed_field.values.copy()
+    u = np.exp(-((grid.x / 3.0) ** 2))
     u = u * np.sqrt(2.0 * q / (dx * np.sum(u**2)))
 
     def split(u):
@@ -440,7 +436,7 @@ def minimize_iq(
             bad_steps = 0
         energy_prev = energy
         # explicit stability bound for the linearized flow
-        tau = step if step is not None else 0.5 / (max(theta, 1e-3) + xi_max_pow)
+        tau = 0.5 / (max(theta, 1e-3) + xi_max_pow)
         v = u - tau * g
         u = v * np.sqrt(2.0 * q / (dx * np.sum(v**2)))
     if not converged:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .evolution import EvolutionTrace
 from .ground_state import FBBM, ModelSpec, SolitaryWave, solitary_from_profile
-from .kp import Grid2D, RealField2D, field2d_from_values, make_grid2d
+from .kp import RealField2D, field2d_from_values, make_grid2d
 from .spectral import DispersionSymbol, RealField, field_from_values, make_grid
 
 __all__ = [
@@ -31,8 +31,8 @@ __all__ = [
     "dump_json",
 ]
 
-FMT = "%.17g"
 SPACING_RTOL = 1e-9
+SIDECAR_NUMBERS = ("n", "L", "c", "alpha", "beta", "p", "iterations")
 
 
 def _sidecar_path(path: str) -> str:
@@ -107,6 +107,10 @@ def load_profile(path: str) -> tuple[RealField, dict]:
     if os.path.exists(sidecar):
         with open(sidecar) as fh:
             meta = json.load(fh)
+        bad = [f"{k}={meta[k]!r}" for k in SIDECAR_NUMBERS
+               if k in meta and not isinstance(meta[k], (int, float))]
+        if bad:
+            raise ValueError(f"{path}: non-numeric sidecar {', '.join(bad)}")
         if "n" in meta and int(meta["n"]) != n:
             raise ValueError(f"{path}: grid mismatch: sidecar n={meta['n']}, CSV rows={n}")
         if "L" in meta and abs(float(meta["L"]) - L) > SPACING_RTOL * max(L, 1.0):
@@ -154,16 +158,10 @@ def load_wave(path: str) -> SolitaryWave:
 
 
 def save_trace(trace: EvolutionTrace, path: str) -> None:
-    """Plot-ready CSV: t,mass,energy[,orbital_distance] for the fKdV family,
-    t,quadratic,hamiltonian[,orbital_distance] for fBBM."""
-    is_bbm = trace.bbm_quadratic_series is not None
-    cols = [trace.times]
-    if is_bbm:
-        header = "t,quadratic,hamiltonian"
-        cols += [trace.bbm_quadratic_series, trace.bbm_hamiltonian_series]
-    else:
-        header = "t,mass,energy"
-        cols += [trace.mass_series, trace.energy_series]
+    """Plot-ready CSV: t, the conserved pair (mass,energy for the fKdV family,
+    quadratic,hamiltonian for fBBM)[, orbital_distance]."""
+    header = ",".join(["t", *trace.conserved])
+    cols = [trace.times, *trace.conserved.values()]
     if trace.orbital_distance_series is not None:
         header += ",orbital_distance"
         cols.append(trace.orbital_distance_series)

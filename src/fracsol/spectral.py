@@ -5,8 +5,8 @@ points.  Everything downstream (functionals, solitary-wave solvers, time
 steppers) manipulates fields through Fourier multipliers on this box:
 
 * fields are real, so every transform is a real-to-complex ``rfft`` on the
-  one-sided wavenumbers ``xi_r = pi*j/L``, ``j = 0..n/2``; the grid also
-  keeps the full fft-ordered lattice ``xi``,
+  one-sided wavenumbers ``xi_r = pi*j/L``, ``j = 0..n/2``, the only
+  wavenumbers the grid keeps,
 * integrals are uniform Riemann sums, spectrally accurate for smooth
   periodic integrands,
 * quadratic forms ``int m(D)u u`` are Parseval sums over the one-sided
@@ -54,14 +54,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Grid1D:
-    """Uniform periodic sampling of [-L, L): fft-ordered wavenumbers xi and
-    their one-sided (rfft) half xi_r."""
+    """Uniform periodic sampling of [-L, L) with its one-sided (rfft)
+    wavenumbers xi_r."""
 
     n: int
     L: float
     dx: float
     x: np.ndarray
-    xi: np.ndarray
     xi_r: np.ndarray
 
 
@@ -74,9 +73,8 @@ def make_grid(n: int, L: float) -> Grid1D:
     L = float(L)
     dx = 2.0 * L / n  # exact: division by a power of two
     x = -L + dx * np.arange(n)
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
     xi_r = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
-    return Grid1D(n=n, L=L, dx=dx, x=_readonly(x), xi=_readonly(xi), xi_r=_readonly(xi_r))
+    return Grid1D(n=n, L=L, dx=dx, x=_readonly(x), xi_r=_readonly(xi_r))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,12 +11,12 @@ tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .functionals import Report, energy_fkdv, mass, weinstein
-from .ground_state import MinimizerResult, SolitaryWave, dilate_field, minimize_iq
+from .ground_state import SolitaryWave, dilate_field, minimize_iq
 from .spectral import PURE_POWER, DispersionSymbol, Grid1D, RealField, field_from_values, quad_form
 
 __all__ = [
@@ -186,8 +186,7 @@ def commutator_decay(alpha: float, v: RealField, r_list: Sequence[float],
     )
 
 
-def saturating_field(grid: Grid1D, alpha_exponent: float = 0.75,
-                     rolloff: float = 2.0) -> RealField:
+def saturating_field(grid: Grid1D) -> RealField:
     """Even field whose spectrum behaves like |xi|^(-3/4) at low frequency.
 
     Fields of this type have tails ~|x|^(-1/4) inside the box and realize the
@@ -197,7 +196,7 @@ def saturating_field(grid: Grid1D, alpha_exponent: float = 0.75,
     """
     xi_r = grid.xi_r
     amp = np.zeros(xi_r.size)
-    amp[1:] = xi_r[1:] ** (-alpha_exponent) * np.exp(-((xi_r[1:] / rolloff) ** 2))
+    amp[1:] = xi_r[1:] ** -0.75 * np.exp(-((xi_r[1:] / 2.0) ** 2))
     vals = np.fft.irfft(amp, n=grid.n)
     vals = vals / np.max(np.abs(vals))
     return field_from_values(grid, vals)
@@ -214,8 +213,6 @@ def iq_scaling_check(
     tolerance: float = 1e-3,
     mass_law_tolerance: float = 1e-6,
     energy_law_tolerance: float = 1e-3,
-    base: Optional[MinimizerResult] = None,
-    **minimize_opts,
 ) -> list[IdentityReport]:
     """Check I_{theta q} = theta^((3a-1)/(2a-1)) I_q by independent minimizations,
     plus the mass/energy transformation laws of the rescaling
@@ -227,13 +224,12 @@ def iq_scaling_check(
     if not (0.5 < alpha < 1.0):
         raise ValueError(f"iq_scaling_check needs alpha in (1/2, 1), got {alpha}")
     exponent = (3.0 * alpha - 1.0) / (2.0 * alpha - 1.0)
-    if base is None:
-        base = minimize_iq(q, alpha, grid, **minimize_opts)
+    base = minimize_iq(q, alpha, grid)
     reports = []
     for theta in theta_list:
         if not theta > 0:
             raise ValueError(f"theta must be positive, got {theta}")
-        scaled = minimize_iq(theta * q, alpha, grid, **minimize_opts)
+        scaled = minimize_iq(theta * q, alpha, grid)
         reports.append(_report(
             f"iq_scaling_theta_{theta:g}",
             scaled.I_q / base.I_q, theta**exponent, tolerance,
@@ -288,16 +284,16 @@ def gn_scan(Q: SolitaryWave, battery: Sequence[RealField], alpha: float,
     )
 
 
-def make_scan_battery(grid: Grid1D, seed: int, count: int = 20,
-                      band_fraction: float = 0.1) -> list[RealField]:
-    """Deterministic battery of Gaussians and band-limited random fields."""
+def make_scan_battery(grid: Grid1D, seed: int, count: int = 20) -> list[RealField]:
+    """Deterministic battery of Gaussians and random fields on the lowest
+    tenth of the modes."""
     rng = np.random.default_rng(seed)
     fields = []
     widths = np.linspace(0.5, 8.0, max(1, count // 2))
     for w in widths:
         fields.append(field_from_values(grid, np.exp(-((grid.x / w) ** 2))))
     n_random = count - len(fields)
-    n_modes = max(2, int(band_fraction * grid.n / 2))
+    n_modes = max(2, int(0.1 * grid.n / 2))
     for _ in range(n_random):
         coef = np.zeros(grid.n // 2 + 1, dtype=complex)
         re = rng.standard_normal(n_modes)

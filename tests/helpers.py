@@ -1,8 +1,17 @@
-"""Shared test utilities: staged coarse-to-fine ground-state solves for the
-large boxes that tight identity tolerances require."""
+"""Shared test utilities: the two-sided wavenumber lattice for full-spectrum
+oracles, and staged coarse-to-fine ground-state solves for the large boxes
+that tight identity tolerances require."""
+
+import numpy as np
 
 from fracsol import make_grid, petviashvili
 from fracsol.ground_state import upsample_field
+
+
+def two_sided_xi(grid):
+    """The fft-ordered wavenumbers 2*pi*fftfreq(n, dx) of a grid, for oracles
+    on the full spectrum; the library keeps only the one-sided xi_r."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
 
 
 def solve_big(model, c, n, L, tol=1e-10):

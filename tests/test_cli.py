@@ -98,6 +98,24 @@ class TestConfigFile:
         assert payload["error"] == "ValueError"
         assert "alpah" in payload["message"]
 
+    def test_config_report_receives_error(self, tmp_path):
+        cfg = tmp_path / "r.cfg"
+        report = tmp_path / "err.json"
+        cfg.write_text(f"alpha = 3.0\nn = 256\nL = 20\nreport = {report}\n")
+        assert main(["ground-state", "--config", str(cfg)]) == 2
+        assert json.load(open(report))["error"] == "ValueError"
+
+    def test_directory_as_config_exit_2(self, tmp_path):
+        report = str(tmp_path / "err.json")
+        assert main(["ground-state", "--config", str(tmp_path), "--report", report]) == 2
+        assert json.load(open(report))["error"] == "IsADirectoryError"
+
+    def test_unwritable_report_exit_2(self, tmp_path, capsys):
+        report = str(tmp_path / "missing" / "r.json")
+        assert main(["ground-state", "--n", "64", "--L", "10", "--report", report]) == 2
+        assert not os.path.exists(report)
+        assert "cannot write the error report" in capsys.readouterr().err
+
     def test_other_command_key_allowed(self, tmp_path):
         # one file can serve several commands: evolve's keys pass ground-state
         cfg = tmp_path / "shared.cfg"
@@ -142,6 +160,17 @@ class TestOtherCommands:
         payload = json.load(open(report))
         assert payload["error"] == "ValueError"
         assert "bogus" in payload["message"]
+
+    def test_verify_rejects_null_sidecar_value(self, tmp_path):
+        grid = make_grid(256, 20.0)
+        path = str(tmp_path / "q.csv")
+        save_profile(field_from_values(grid, np.exp(-grid.x**2)), path,
+                     {"c": None, "alpha": 0.75, "family": "fkdv"})
+        report = str(tmp_path / "v.json")
+        assert main(["verify", "--profile", path, "--report", report]) == 2
+        payload = json.load(open(report))
+        assert payload["error"] == "ValueError"
+        assert "sidecar c=None" in payload["message"]
 
     def test_rescale_command(self, tmp_path):
         src = str(tmp_path / "q.csv")
@@ -247,11 +276,16 @@ class TestSweep:
                      "--out", str(tmp_path / "s")]) == 2
 
     def test_rejected_point_recorded(self, tmp_path):
-        # argparse rejects n=abc inside the worker; the other point still runs
+        # argparse rejects n=abc inside the worker and a directory is no
+        # config file; the other point still runs
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("L = 200\n")
         out = str(tmp_path / "sweep3")
-        code = main(["sweep", "--command", "ground-state", "--out", out,
-                     "--jobs", "2", "--param", "n=abc,4096", "--param", "L=200"])
+        code = main(["sweep", "--command", "ground-state", "--out", out, "--jobs", "2",
+                     "--param", "n=abc,4096", "--param", f"config={tmp_path},{cfg}"])
         assert code == 2
         index = json.load(open(os.path.join(out, "index.json")))
-        codes = {entry["point"]["n"]: entry["exit_code"] for entry in index["points"]}
-        assert codes == {"abc": 2, "4096": 0}
+        codes = {(entry["point"]["n"], entry["point"]["config"]): entry["exit_code"]
+                 for entry in index["points"]}
+        assert codes == {("abc", str(tmp_path)): 2, ("abc", str(cfg)): 2,
+                         ("4096", str(tmp_path)): 2, ("4096", str(cfg)): 0}

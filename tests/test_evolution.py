@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import two_sided_xi
+
 from fracsol import (
     DispersionSymbol,
     ModelSpec,
@@ -12,6 +14,8 @@ from fracsol import (
 )
 from fracsol.errors import NumericalError
 from fracsol.evolution import (
+    N_CONTOUR,
+    _etdrk4_coefficients,
     evolve,
     make_perturbation,
     orbital_distance,
@@ -32,6 +36,12 @@ def wave8(grid8):
     return petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, grid8)
 
 
+@pytest.fixture(scope="module")
+def bbm8(grid8):
+    model = ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived")
+    return petviashvili(model, 2.0, grid8)
+
+
 def flip(field):
     return field_from_values(field.grid, np.roll(field.values[::-1], 1))
 
@@ -41,8 +51,8 @@ class TestEvolve:
         model = ModelSpec(family=FKDV, symbol=POWER(0.75))
         zero = field_from_values(grid8, np.zeros(grid8.n))
         trace = evolve(model, zero, 1.0, 2.0**-6, record_every=16)
-        assert np.all(trace.mass_series == 0.0)
-        assert np.all(trace.energy_series == 0.0)
+        assert np.all(trace.conserved["mass"] == 0.0)
+        assert np.all(trace.conserved["energy"] == 0.0)
         assert np.max(np.abs(trace.final_state.values)) == 0.0
 
     def test_traveling_wave_orbit(self, wave8):
@@ -66,9 +76,8 @@ class TestEvolve:
                                   record_every=10**9).final_state.values - ref))
         assert 12.0 <= e1 / e2 <= 20.0
 
-    def test_fbbm_fourth_order_convergence(self, grid8):
-        model = ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived")
-        wave = petviashvili(model, 2.0, grid8)
+    def test_fbbm_fourth_order_convergence(self, bbm8):
+        model, wave = bbm8.model, bbm8
         dt0 = 2.0**-5
         ref = evolve(model, wave.profile, 1.0, dt0 / 8,
                      record_every=10**9).final_state.values
@@ -85,24 +94,43 @@ class TestEvolve:
                       record_every=10**9).final_state
         assert np.max(np.abs(flip(back).values - wave8.profile.values)) < 1e-6
 
-    def test_fbbm_conservation(self, grid8):
-        model = ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived")
-        wave = petviashvili(model, 2.0, grid8)
+    def test_fbbm_conservation(self, bbm8):
+        model, wave = bbm8.model, bbm8
         trace = evolve(model, wave.profile, 5.0, 2.0**-9, record_every=256,
                        track_orbit=wave)
         assert trace.conserved_drift() < 1e-9
         assert np.max(trace.orbital_distance_series) < 1e-7
 
-    def test_nan_flag_on_unstable_step(self, wave8):
+    def test_nan_flag_on_unstable_step(self, wave8, bbm8):
         # grossly violating the nonlinear stability bound drives an overflow;
         # at 1e100 times the profile the first step is already NaN
-        for scale, flags in ((5.0, ("nan", "blowup")), (1e100, ("nan",))):
+        cases = ((wave8, 5.0, ("nan", "blowup")), (wave8, 1e100, ("nan",)),
+                 (bbm8, 1e100, ("nan",)))
+        for wave, scale, flags in cases:
             with pytest.warns(UserWarning), np.errstate(all="ignore"):
-                trace = evolve(wave8.model, scale * wave8.profile, 4.0, 0.5,
+                trace = evolve(wave.model, scale * wave.profile, 4.0, 0.5,
                                record_every=1)
             assert trace.flag in flags
             assert trace.times[-1] < 4.0
-            assert len(trace.times) == len(trace.mass_series) == len(trace.energy_series)
+            assert all(len(s) == len(trace.times) for s in trace.conserved.values())
+
+    def test_blocked_coefficients_match_one_shot_contour(self, grid8):
+        # 4097 modes: the last block is not a whole CONTOUR_BLOCK
+        xi = grid8.xi_r
+        dt = 2.0**-9
+        for lin in (1j * xi * xi**0.75, -1j * xi / (1.0 + xi**0.75)):
+            z = dt * lin
+            zr = z[:, None] + np.exp(2j * np.pi * (np.arange(N_CONTOUR) + 0.5) / N_CONTOUR)
+            ez = np.exp(zr)
+            one_shot = (
+                np.exp(z), np.exp(z / 2.0),
+                dt * np.mean((np.exp(zr / 2.0) - 1.0) / zr, axis=1),
+                dt * np.mean((-4.0 - zr + ez * (4.0 - 3.0 * zr + zr**2)) / zr**3, axis=1),
+                2.0 * (dt * np.mean((2.0 + zr + ez * (zr - 2.0)) / zr**3, axis=1)),
+                dt * np.mean((-4.0 - 3.0 * zr - zr**2 + ez * (4.0 - zr)) / zr**3, axis=1),
+            )
+            for blocked, full in zip(_etdrk4_coefficients(lin, dt), one_shot):
+                np.testing.assert_array_equal(blocked, full)
 
     def test_rejects_bad_arguments(self, wave8):
         with pytest.raises(ValueError):
@@ -133,13 +161,14 @@ class TestOrbitalDistance:
         # oracle: dense scan over sub-grid shifts of the squared objective
         uhat = np.fft.fft(u.values)
         qhat = np.fft.fft(wave8.profile.values)
-        w = g.dx / g.n * (1.0 + np.abs(g.xi) ** 0.75)
+        xi = two_sided_xi(g)
+        w = g.dx / g.n * (1.0 + np.abs(xi) ** 0.75)
         shifts = np.linspace(-2.0 * g.dx, 2.0 * g.dx, 4001)
         nyq = g.n // 2
         best = np.inf
         for z in shifts:
-            phase = np.exp(1j * g.xi * z)
-            phase[nyq] = np.cos(g.xi[nyq] * z)
+            phase = np.exp(1j * xi * z)
+            phase[nyq] = np.cos(xi[nyq] * z)
             best = min(best, np.sum(w * np.abs(phase * uhat - qhat) ** 2))
         assert abs(dist - np.sqrt(best)) < 1e-6
 

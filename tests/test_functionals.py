@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import two_sided_xi
+
 from fracsol import (
     DispersionSymbol,
     bbm_hamiltonian,
@@ -67,18 +69,19 @@ class TestEnergy:
 class TestBBMFunctionals:
     def test_quadratic_zero(self):
         g = make_grid(64, 5.0)
-        assert bbm_quadratic(field_from_values(g, np.zeros(g.n)), 0.8) == 0.0
+        zero = field_from_values(g, np.zeros(g.n))
+        assert bbm_quadratic(zero, DispersionSymbol.power(0.8)) == 0.0
 
     def test_quadratic_sine(self):
         g = make_grid(256, np.pi)
         u = field_from_values(g, np.sin(g.x))
-        assert abs(bbm_quadratic(u, 1.0) - np.pi) < 1e-12
+        assert abs(bbm_quadratic(u, POWER_1) - np.pi) < 1e-12
 
     def test_quadratic_dominates_mass(self, grid_desk, rng):
         u = field_from_values(grid_desk,
                               rng.standard_normal(grid_desk.n)
                               * np.exp(-(grid_desk.x / 40.0) ** 2))
-        assert bbm_quadratic(u, 0.75) >= mass(u)
+        assert bbm_quadratic(u, DispersionSymbol.power(0.75)) >= mass(u)
 
     def test_hamiltonian_constant(self):
         g = make_grid(64, 1.0)  # box length 2
@@ -150,7 +153,7 @@ class TestOracleAgreement:
         self.u = field_from_values(self.g, np.exp(-self.g.x**2) * (1.0 + 0.2 * self.g.x))
 
     def _dft_power(self, s):
-        x, xi, n = self.g.x, self.g.xi, self.g.n
+        x, xi, n = self.g.x, two_sided_xi(self.g), self.g.n
         uhat = np.array([np.sum(self.u.values * np.exp(-1j * w * (x - x[0]))) for w in xi])
         return self.g.dx / n * np.sum(np.abs(xi) ** s * np.abs(uhat) ** 2)
 
@@ -179,7 +182,7 @@ class TestTranslationInvariance:
         pairs = [
             (mass(u), mass(v)),
             (energy_fkdv(u, sym).value, energy_fkdv(v, sym).value),
-            (bbm_quadratic(u, 0.75), bbm_quadratic(v, 0.75)),
+            (bbm_quadratic(u, sym), bbm_quadratic(v, sym)),
             (bbm_hamiltonian(u), bbm_hamiltonian(v)),
             (weinstein(u, 0.75), weinstein(v, 0.75)),
         ]

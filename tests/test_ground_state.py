@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import two_sided_xi
+
 from fracsol import (
     ConvergenceError,
     DispersionSymbol,
@@ -133,7 +135,7 @@ class TestPetviashvili:
             model = ModelSpec(family=FKDV, symbol=POWER(0.30))
             wave = petviashvili(model, 1.0, grid)
         uhat = np.fft.fft(wave.profile.values)
-        g = grid.dx / grid.n * np.sum(np.abs(grid.xi) ** 0.3 * np.abs(uhat) ** 2)
+        g = grid.dx / grid.n * np.sum(np.abs(two_sided_xi(grid)) ** 0.3 * np.abs(uhat) ** 2)
         m = grid.dx * np.sum(wave.profile.values**2)
         assert abs((3 * 0.3 - 1) * g - m) / m > 0.5
 
@@ -250,7 +252,7 @@ class TestMinimizeIq:
         # FrLe.8: D^alpha psi - psi^2/2 + theta psi = 0
         res, grid = result
         psi = res.profile.values
-        du = np.fft.ifft(np.abs(grid.xi) ** 0.75 * np.fft.fft(psi)).real
+        du = np.fft.ifft(np.abs(two_sided_xi(grid)) ** 0.75 * np.fft.fft(psi)).real
         r = du - 0.5 * psi**2 + res.theta * psi
         assert np.sqrt(grid.dx * np.sum(r**2)) < 1e-7
 

@@ -100,6 +100,15 @@ class TestWaveRoundTrip:
         with pytest.raises(ValueError, match="bogus"):
             load_wave(path)
 
+    @pytest.mark.parametrize("key", ["c", "alpha", "beta", "p", "iterations"])
+    @pytest.mark.parametrize("value", [None, [1.0], "fast"])
+    def test_wave_rejects_malformed_numbers(self, tmp_path, field, key, value):
+        meta = {"c": 1.0, "alpha": 0.75, "family": "fkdv", key: value}
+        path = str(tmp_path / "p.csv")
+        save_profile(field, path, meta)
+        with pytest.raises(ValueError, match=f"sidecar {key}="):
+            load_wave(path)
+
 
 class TestTraceCSV:
     def test_fkdv_trace_columns(self, tmp_path, q075_wave):

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from helpers import two_sided_xi
+
 from fracsol import (
     DispersionSymbol,
     apply_multiplier,
@@ -38,14 +40,15 @@ class TestMakeGrid:
     def test_small_grid_arithmetic(self):
         g = make_grid(8, 4.0)
         assert g.dx == 1.0
-        np.testing.assert_allclose(np.sort(g.xi) / (np.pi / 4.0),
+        np.testing.assert_allclose(g.xi_r / (np.pi / 4.0), [0, 1, 2, 3, 4], atol=1e-15)
+        np.testing.assert_allclose(np.sort(two_sided_xi(g)) / (np.pi / 4.0),
                                    [-4, -3, -2, -1, 0, 1, 2, 3], atol=1e-15)
 
     def test_default_grid_spacing(self):
         g = make_grid(4096, 200.0)
         assert g.dx == 400.0 / 4096
         assert g.dx * g.n == 2.0 * g.L  # exact in floating point
-        assert np.count_nonzero(g.xi == 0.0) == 1
+        assert np.count_nonzero(g.xi_r == 0.0) == 1
 
     def test_sample_points(self):
         g = make_grid(16, 8.0)
@@ -125,11 +128,12 @@ class TestDAlpha:
         u = field_from_values(g, np.exp(-g.x**2))
         s = 0.75
         out = d_alpha(u, s)
+        xis = two_sided_xi(g)
         for m in range(0, 64, 8):
             uhat = np.array([np.sum(u.values * np.exp(-1j * xi * (g.x - g.x[0])))
-                             for xi in g.xi])
-            direct = np.sum(np.abs(g.xi) ** s * uhat
-                            * np.exp(1j * g.xi * (g.x[m] - g.x[0]))).real / g.n
+                             for xi in xis])
+            direct = np.sum(np.abs(xis) ** s * uhat
+                            * np.exp(1j * xis * (g.x[m] - g.x[0]))).real / g.n
             assert abs(out.values[m] - direct) < 1e-12
 
     def test_rejects_negative_order(self, bo_wave):
@@ -214,8 +218,9 @@ class TestShiftField:
         u = band_limited(g, rng, 20) + mean_and_nyquist(g)
         y = 0.37
         # full-spectrum phase with the real-even cos convention at Nyquist
-        phase = np.exp(1j * g.xi * y)
-        phase[g.n // 2] = np.cos(g.xi[g.n // 2] * y)
+        xi = two_sided_xi(g)
+        phase = np.exp(1j * xi * y)
+        phase[g.n // 2] = np.cos(xi[g.n // 2] * y)
         expected = np.fft.ifft(phase * np.fft.fft(u.values)).real
         np.testing.assert_allclose(shift_field(u, y).values, expected, rtol=0, atol=1e-13)
 
@@ -248,7 +253,7 @@ class TestAlgebraicProperties:
         # the one-sided form against the full-spectrum sum, with and without a weight
         half = np.fft.rfft(u.values)
         assert abs(quad_form(half, g, 1.0) - spectral) < 1e-12 * spectral
-        full = g.dx / g.n * np.sum((1.0 + np.abs(g.xi) ** 0.7) * np.abs(uhat) ** 2)
+        full = g.dx / g.n * np.sum((1.0 + np.abs(two_sided_xi(g)) ** 0.7) * np.abs(uhat) ** 2)
         assert abs(quad_form(half, g, 1.0 + g.xi_r**0.7) - full) < 1e-12 * full
 
     def test_linearity(self, rng):
