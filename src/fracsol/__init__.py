@@ -36,7 +36,6 @@ from .ground_state import (
     minimize_iq,
     petviashvili,
     rescale_solitary,
-    sample_interpolant,
     solitary_from_profile,
 )
 from .verification import (

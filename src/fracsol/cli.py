@@ -382,11 +382,14 @@ def cmd_sweep(cfg, args) -> int:
         argv += ["--report", os.path.join(pt_dir, "report.json")]
         if cfg["command"] in ("ground-state", "minimize-iq"):
             argv += ["--out", os.path.join(pt_dir, "profile.csv")]
+        entry = {"point": dict(pt), "dir": pt_dir}
         try:
-            code = main(argv)
+            entry["exit_code"] = main(argv)
         except SystemExit:  # argparse rejected the point's flags
-            code = 2
-        return {"point": dict(pt), "dir": pt_dir, "exit_code": code}
+            entry["exit_code"] = 2
+        except Exception as exc:  # one failing point must not abort the pool
+            entry.update(exit_code=1, error=type(exc).__name__, message=str(exc))
+        return entry
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         index = list(pool.map(run_point, enumerate(points)))

@@ -148,8 +148,10 @@ def evolve(
         warnings.warn(f"{model.family} stability bound dt (p+1) sup^p max|N| = {bound:.2f} > 4")
     E, E2, Q, f1, f2x2, f3 = _etdrk4_coefficients(lin, dt)
 
-    def nonlinear(vhat):
-        v = np.fft.irfft(vhat, n=grid.n)
+    def nonlinear(vhat, v=None):
+        """v = irfft(vhat) when the caller already holds it."""
+        if v is None:
+            v = np.fft.irfft(vhat, n=grid.n)
         return nl_mult * np.fft.rfft(v ** (p + 1))
 
     times, dists = [], []
@@ -164,11 +166,13 @@ def evolve(
                                           track_orbit.model.symbol.alpha)[0])
 
     uhat = np.fft.rfft(u0.values)
+    # the samples of uhat; each step's blow-up check refreshes them for the next
+    u_vals = np.fft.irfft(uhat, n=grid.n)
     record(0.0, u0)
     flag = None
     u_field = u0
     for step in range(1, n_steps + 1):
-        n0 = nonlinear(uhat)
+        n0 = nonlinear(uhat, u_vals)
         e2u = E2 * uhat
         a = e2u + Q * n0
         na = nonlinear(a)

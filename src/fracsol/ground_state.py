@@ -41,7 +41,6 @@ __all__ = [
     "rescale_solitary",
     "cstar",
     "minimize_iq",
-    "sample_interpolant",
     "sample_interpolant_uniform",
     "dilate_field",
 ]
@@ -51,7 +50,6 @@ FBBM = "fbbm"
 GFKDV = "gfkdv"
 
 ZERO_COLLAPSE = 1e-8
-INTERP_CHUNK = 512   # evaluation points per block of sample_interpolant
 DILATE_TAPER = 0.1   # outer fraction of a dilated support rolled off to zero
 
 
@@ -100,12 +98,16 @@ def linear_symbol(model: ModelSpec, c: float, xi: np.ndarray) -> np.ndarray:
     return c + model.symbol(xi)
 
 
+def _residual(lin: np.ndarray, p: int, uhat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Profile-equation residual lin(D)u - u^{p+1}/(p+1) of the samples u,
+    given their spectrum uhat = rfft(u)."""
+    return np.fft.irfft(lin * uhat, n=u.size) - u ** (p + 1) / (p + 1)
+
+
 def profile_residual(model: ModelSpec, c: float, u: RealField) -> np.ndarray:
     """Pointwise residual of the profile equation for u."""
     lin = linear_symbol(model, c, u.grid.xi_r)
-    lin_u = np.fft.irfft(lin * np.fft.rfft(u.values), n=u.grid.n)
-    p = model.p
-    return lin_u - u.values ** (p + 1) / (p + 1)
+    return _residual(lin, model.p, np.fft.rfft(u.values), u.values)
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,12 @@ def petviashvili(
     exponent gamma = (p+1)/p.  Converged means both the successive-iterate
     sup change is below tol and the equation residual is below 10*tol;
     stagnation of the iterates alone can mask non-solutions.
+
+    The iterate is carried in Fourier space as well: Q_hat = rfft(Q) is
+    computed once from the seed, the numerator of S is the Parseval sum over
+    Q_hat, and the update is formed as a spectrum.  So a sweep transforms
+    twice, rfft of the nonlinearity and irfft of the new spectrum; the
+    residual check reuses Q_hat and adds one irfft.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -182,30 +190,34 @@ def petviashvili(
     inv = 1.0 / lin
 
     q = (seed_profile.values if seed_profile is not None else default_seed(model, c, grid).values).copy()
+    qhat = np.fft.rfft(q)
     delta_prev = None
     for n_iter in range(1, max_iter + 1):
-        qhat = np.fft.rfft(q)
-        lin_q = np.fft.irfft(lin * qhat, n=grid.n)
         nl = q ** (p + 1) / (p + 1)
         denom = np.sum(q * nl)
         if denom == 0.0 or not np.isfinite(denom):
             raise NumericalError("Petviashvili normalization degenerated")
-        s = np.sum(q * lin_q) / denom
-        q_new = s**gamma * np.fft.irfft(inv * np.fft.rfft(nl), n=grid.n)
+        s = quad_form(qhat, grid, lin) / (grid.dx * denom)
+        qhat_new = s**gamma * inv * np.fft.rfft(nl)
+        q_new = np.fft.irfft(qhat_new, n=grid.n)
         delta = q_new - q
         change = float(np.max(np.abs(delta)))
         q = q_new
         # Aitken extrapolation along the dominant (slow, low-frequency)
-        # contraction mode; the fixed point is unchanged
+        # contraction mode; the fixed point is unchanged.  The step is linear
+        # in the iterate, so the spectrum moves with it.
         if delta_prev is not None and n_iter % 8 == 0:
             num = float(np.dot(delta, delta_prev))
             den = float(np.dot(delta_prev, delta_prev))
             rho = num / den if den > 0 else 0.0
             if 0.2 < rho < 0.995:
-                cand = q + delta * (rho / (1.0 - rho))
+                r = rho / (1.0 - rho)
+                cand = q + delta * r
                 if np.all(np.isfinite(cand)) and np.max(np.abs(cand)) < 1e8:
                     q = cand
+                    qhat_new += r * (qhat_new - qhat)
                     delta = None
+        qhat = qhat_new
         delta_prev = delta
         sup = float(np.max(np.abs(q)))
         if not np.isfinite(sup) or sup > 1e8:
@@ -215,8 +227,7 @@ def petviashvili(
                 f"no solitary wave found: profile collapsed to zero at step {n_iter}"
             )
         if change < tol:
-            r = profile_residual(model, c, RealField(grid, q))
-            if float(np.max(np.abs(r))) < 10.0 * tol:
+            if float(np.max(np.abs(_residual(lin, p, qhat, q)))) < 10.0 * tol:
                 break
     else:
         raise ConvergenceError(
@@ -243,31 +254,13 @@ def _interp_weights(u: RealField):
     return weights, grid.xi_r
 
 
-def sample_interpolant(u: RealField, points: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of u at arbitrary points.
-
-    Exact (to roundoff) for the band-limited function the samples represent;
-    the Nyquist mode is taken in the real-even convention.  O(n * len(points));
-    for uniformly spaced points use sample_interpolant_uniform.
-    """
-    grid = u.grid
-    weights, xi_r = _interp_weights(u)
-    pts = np.asarray(points, dtype=np.float64)
-    out = np.empty(pts.shape, dtype=np.float64)
-    flat = pts.ravel()
-    res = out.ravel()
-    x0 = grid.x[0]
-    for start in range(0, flat.size, INTERP_CHUNK):
-        sl = slice(start, min(start + INTERP_CHUNK, flat.size))
-        phases = np.exp(1j * np.outer(flat[sl] - x0, xi_r))
-        res[sl] = (phases @ weights).real
-    return out
-
-
 def sample_interpolant_uniform(u: RealField, start: float, step: float,
                                count: int) -> np.ndarray:
-    """Evaluate the trigonometric interpolant at start + k*step, k < count,
-    via the chirp-z transform: O((n + count) log) instead of O(n * count)."""
+    """Evaluate the trigonometric interpolant of u at start + k*step,
+    k < count, via the chirp-z transform in O((n + count) log).
+
+    Exact (to roundoff) for the band-limited function the samples represent;
+    the Nyquist mode is taken in the real-even convention."""
     weights, xi_r = _interp_weights(u)
     beta = xi_r[1] if xi_r.size > 1 else 0.0
     g = weights * np.exp(1j * xi_r * (start - u.grid.x[0]))

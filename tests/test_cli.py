@@ -275,6 +275,29 @@ class TestSweep:
         assert main(["sweep", "--command", "ground-state",
                      "--out", str(tmp_path / "s")]) == 2
 
+    def test_point_exception_recorded(self, tmp_path, monkeypatch):
+        # an exception of any type at one point is that point's failure
+        handler, help_text, defaults = COMMANDS["ground-state"]
+
+        def failing(cfg, args):
+            if cfg["alpha"] == 0.9:
+                raise RuntimeError("injected failure")
+            return handler(cfg, args)
+
+        monkeypatch.setitem(COMMANDS, "ground-state", (failing, help_text, defaults))
+        out = str(tmp_path / "sweep4")
+        code = main(["sweep", "--command", "ground-state", "--out", out,
+                     "--jobs", "2", "--param", "alpha=0.8,0.9",
+                     "--param", "n=4096", "--param", "L=200"])
+        assert code == 1
+        index = json.load(open(os.path.join(out, "index.json")))
+        entries = {entry["point"]["alpha"]: entry for entry in index["points"]}
+        assert entries["0.8"] == {"point": {"L": "200", "alpha": "0.8", "n": "4096"},
+                                  "dir": entries["0.8"]["dir"], "exit_code": 0}
+        assert entries["0.9"]["exit_code"] == 1
+        assert entries["0.9"]["error"] == "RuntimeError"
+        assert entries["0.9"]["message"] == "injected failure"
+
     def test_rejected_point_recorded(self, tmp_path):
         # argparse rejects n=abc inside the worker and a directory is no
         # config file; the other point still runs

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import two_sided_xi
+from helpers import spy_transforms, two_sided_xi
 
 from fracsol import (
     DispersionSymbol,
@@ -113,6 +113,17 @@ class TestEvolve:
             assert trace.flag in flags
             assert trace.times[-1] < 4.0
             assert all(len(s) == len(trace.times) for s in trace.conserved.values())
+
+    def test_eight_transforms_per_step(self, wave8, monkeypatch):
+        # the end-of-step irfft serves the next step's first nonlinear term
+        calls = spy_transforms(monkeypatch)
+        counts = []
+        for steps in (4, 8):
+            calls.clear()
+            evolve(wave8.model, wave8.profile, steps * 2.0**-9, 2.0**-9,
+                   record_every=10**9)
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 8 * 4
 
     def test_blocked_coefficients_match_one_shot_contour(self, grid8):
         # 4097 modes: the last block is not a whole CONTOUR_BLOCK

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import two_sided_xi
+from helpers import sample_interpolant, spy_transforms, two_sided_xi
 
 from fracsol import (
     ConvergenceError,
@@ -18,6 +18,7 @@ from fracsol import (
     mass,
     minimize_iq,
     petviashvili,
+    quad_form,
     rescale_solitary,
 )
 from fracsol.ground_state import (
@@ -25,7 +26,6 @@ from fracsol.ground_state import (
     FKDV,
     GFKDV,
     profile_residual,
-    sample_interpolant,
     sample_interpolant_uniform,
     upsample_field,
 )
@@ -126,6 +126,42 @@ class TestPetviashvili:
         with pytest.raises(NoSolitaryWaveError):
             petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0,
                          grid_desk, gamma=0.0, seed_profile=seed)
+
+    def test_two_transforms_per_sweep(self, grid_desk, monkeypatch):
+        # one rfft of the seed, an rfft and an irfft per sweep, one irfft per
+        # residual check and one rfft/irfft pair of the final diagnostics
+        calls = spy_transforms(monkeypatch)
+        wave = petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, grid_desk)
+        assert len(calls) <= 2 * wave.iterations + 4
+
+    def test_aitken_step_keeps_spectrum_consistent(self, monkeypatch):
+        # a sweep is an rfft of N = Q^2/2 followed by the irfft of the update
+        # S^2 (1 + |D|^0.75)^{-1} N_hat, whose mean mode is S^2 N_hat(0).  S
+        # taken from the carried spectrum must match S of the samples on every
+        # sweep: the map absorbs a stale spectrum into one S, so the sweep
+        # count and the final residual alone would not show it
+        calls = spy_transforms(monkeypatch)
+        grid = make_grid(8192, 200.0)
+        tol = 1e-12
+        wave = petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, grid, tol=tol)
+        monkeypatch.undo()
+        sweeps = [(calls[i][1], calls[i][2], calls[i + 1][1], calls[i + 1][2])
+                  for i in range(1, len(calls) - 1)
+                  if calls[i][0] == "rfft" and calls[i + 1][0] == "irfft"]
+        sweeps = sweeps[:-1]  # the last pair is the final residual diagnostics
+        assert len(sweeps) == wave.iterations
+        lin = 1.0 + grid.xi_r**0.75
+        accepted = 0
+        for (_, _, _, q_prev), (nl, nl_hat, update, _) in zip(sweeps, sweeps[1:]):
+            # an Aitken step replaced the iterate the previous irfft returned
+            accepted += not np.array_equal(nl, q_prev**2 / 2)
+            q = np.sign(q_prev) * np.sqrt(2.0 * nl)
+            s_samples = quad_form(np.fft.rfft(q), grid, lin) / (grid.dx * np.sum(q * nl))
+            s_spectrum = np.sqrt(update[0].real / nl_hat[0].real)
+            assert abs(s_spectrum - s_samples) < 1e-12 * s_samples
+        assert accepted >= 1
+        # recomputed from the final samples alone
+        assert wave.residual_sup < 10.0 * tol
 
     def test_energy_supercritical_warns_and_violates_line_identity(self):
         # the periodic box still carries a wave at alpha < 1/3, but the line
