@@ -7,10 +7,8 @@ from .spectral import (
     apply_multiplier,
     d_alpha,
     energy_norm,
-    field_from_function,
     field_from_values,
     integrate,
-    inner,
     l2_norm,
     make_grid,
     quad_form,
@@ -48,7 +46,6 @@ from .verification import (
     iq_scaling_check,
     make_scan_battery,
     pohojaev_functional_check,
-    saturating_field,
     smooth_bump,
 )
 from .evolution import (
@@ -76,6 +73,6 @@ from .kp import (
     make_grid2d,
     project_zero_x_mean,
 )
-from .errors import BlowUpError, ConvergenceError, NoSolitaryWaveError, NumericalError
+from .errors import ConvergenceError, NoSolitaryWaveError, NumericalError
 
 __version__ = "0.1.0"

@@ -48,7 +48,6 @@ from .verification import (
     iq_scaling_check,
     make_scan_battery,
     pohojaev_functional_check,
-    saturating_field,
 )
 
 # Desk-scale identity tolerance: profile identities are periodization-limited
@@ -300,15 +299,13 @@ def cmd_commutator(cfg, args) -> int:
         v = field_from_values(grid, np.exp(-grid.x**2))
     elif cfg["field"] == "algebraic":
         v = field_from_values(grid, (1.0 + grid.x**2) ** -0.125)
-    elif cfg["field"] == "spectral":
-        v = saturating_field(grid)
     else:
         raise ValueError(f"unknown field kind {cfg['field']!r}")
     decay = commutator_decay(cfg["alpha"], v, _floats(cfg["radii"]),
                              complement=cfg["complement"])
     target = 0.25 - cfg["alpha"]
     # only the worst-case (algebraic-tail) field realizes the estimate's rate
-    checked = cfg["field"] in ("algebraic", "spectral")
+    checked = cfg["field"] == "algebraic"
     ok = (not checked) or (not decay.degenerate
                            and abs(decay.slope - target) < cfg["slope_tol"])
     payload = decay.to_dict()

@@ -1,6 +1,7 @@
 """Exception taxonomy: parameter problems are ValueError subclasses, runtime
-numerics (non-convergence, blow-up, collapse) are NumericalError subclasses.
-The CLI maps the former and file errors to exit code 2, the latter to 1."""
+numerics (non-convergence, collapse) are NumericalError subclasses.  The CLI
+maps the former and file errors to exit code 2, the latter to 1.  A time
+integration that blows up raises nothing: it stops and flags its trace."""
 
 
 class NumericalError(RuntimeError):
@@ -14,6 +15,3 @@ class ConvergenceError(NumericalError):
 class NoSolitaryWaveError(NumericalError):
     """The fixed-point iteration collapsed to the zero profile."""
 
-
-class BlowUpError(NumericalError):
-    """A time integration exceeded the blow-up monitor threshold."""

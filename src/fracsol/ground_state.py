@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import signal
 
 from .errors import ConvergenceError, NoSolitaryWaveError, NumericalError
 from .functionals import energy_fkdv, mass
@@ -28,6 +27,7 @@ from .spectral import (
     DispersionSymbol,
     Grid1D,
     RealField,
+    _chirp_z,
     field_from_values,
     make_grid,
     quad_form,
@@ -262,9 +262,8 @@ def sample_interpolant_uniform(u: RealField, start: float, step: float,
     Exact (to roundoff) for the band-limited function the samples represent;
     the Nyquist mode is taken in the real-even convention."""
     weights, xi_r = _interp_weights(u)
-    beta = xi_r[1] if xi_r.size > 1 else 0.0
     g = weights * np.exp(1j * xi_r * (start - u.grid.x[0]))
-    return signal.czt(g, m=count, w=np.exp(1j * beta * step), a=1.0).real
+    return _chirp_z(g, count, xi_r[1] * step).real
 
 
 def upsample_field(u: RealField, n_new: int) -> RealField:

@@ -14,7 +14,9 @@ steppers) manipulates fields through Fourier multipliers on this box:
   ``+-xi`` and counts twice, the mean (DC) and Nyquist modes count once,
 * the fractional derivative of order ``s`` is the multiplier ``|xi|**s``,
 * translation is the phase ``exp(1j*xi*y)``, exact for band-limited fields;
-  the Nyquist mode moves with the real-even ``cos(xi_nyq*y)``.
+  the Nyquist mode moves with the real-even ``cos(xi_nyq*y)``,
+* the interpolant at uniformly spaced points is one chirp-z convolution
+  (``_chirp_z``) on the same rfft/irfft kernel.
 
 Grids and fields are immutable after construction and safe to share between
 concurrently running solves.
@@ -33,7 +35,6 @@ __all__ = [
     "DispersionSymbol",
     "make_grid",
     "field_from_values",
-    "field_from_function",
     "apply_multiplier",
     "d_alpha",
     "resolvent",
@@ -41,7 +42,6 @@ __all__ = [
     "quad_form",
     "shift_field",
     "integrate",
-    "inner",
     "l2_norm",
 ]
 
@@ -119,10 +119,6 @@ def field_from_values(grid: Grid1D, values) -> RealField:
     if not np.all(np.isfinite(values)):
         raise ValueError("field values must be finite")
     return RealField(grid=grid, values=_readonly(values))
-
-
-def field_from_function(grid: Grid1D, f: Callable[[np.ndarray], np.ndarray]) -> RealField:
-    return field_from_values(grid, f(grid.x))
 
 
 # -- dispersion symbols -------------------------------------------------------
@@ -227,11 +223,6 @@ def integrate(u: RealField) -> float:
     return float(u.grid.dx * np.sum(u.values))
 
 
-def inner(u: RealField, v: RealField) -> float:
-    _same_grid(u, v)
-    return float(u.grid.dx * np.dot(u.values, v.values))
-
-
 def l2_norm(u: RealField) -> float:
     return float(np.sqrt(u.grid.dx) * np.linalg.norm(u.values))
 
@@ -269,3 +260,20 @@ def _shift_phase(grid: Grid1D, y: float) -> np.ndarray:
 def shift_field(u: RealField, y: float) -> RealField:
     """Translate to u(. + y) by Fourier phases; exact for band-limited fields."""
     return _apply_multiplier_array(u, _shift_phase(u.grid, y))
+
+
+def _chirp_z(g: np.ndarray, count: int, theta: float) -> np.ndarray:
+    """The sums sum_j g_j exp(1j*theta*j*k) for k < count (Bluestein's
+    chirp-z): with w_k = exp(1j*theta*k^2/2), jk = (j^2 + k^2 - (k-j)^2)/2
+    makes them w_k times the linear convolution of g*w with conj(w) on the
+    lags -(n-1) .. count-1, taken on real and imaginary parts by rfft."""
+    n = g.size
+    w = np.exp(0.5j * theta * np.arange(max(n, count)) ** 2)
+    a = g * w[:n]
+    b = np.conj(np.concatenate((w[n - 1:0:-1], w[:count])))
+    size = 1 << (n + count - 2).bit_length()  # power of two >= n + count - 1
+    ar, ai = np.fft.rfft(a.real, size), np.fft.rfft(a.imag, size)
+    br, bi = np.fft.rfft(b.real, size), np.fft.rfft(b.imag, size)
+    conv = (np.fft.irfft(ar * br - ai * bi, size)
+            + 1j * np.fft.irfft(ar * bi + ai * br, size))
+    return w[:count] * conv[n - 1:n - 1 + count]

@@ -186,22 +186,6 @@ def commutator_decay(alpha: float, v: RealField, r_list: Sequence[float],
     )
 
 
-def saturating_field(grid: Grid1D) -> RealField:
-    """Even field whose spectrum behaves like |xi|^(-3/4) at low frequency.
-
-    Fields of this type have tails ~|x|^(-1/4) inside the box and realize the
-    worst-case commutator decay rate r^(1/4 - alpha) of bounded energy-norm
-    families; rapidly decaying fields decay strictly faster, like
-    r^(-(alpha + 1/2)).
-    """
-    xi_r = grid.xi_r
-    amp = np.zeros(xi_r.size)
-    amp[1:] = xi_r[1:] ** -0.75 * np.exp(-((xi_r[1:] / 2.0) ** 2))
-    vals = np.fft.irfft(amp, n=grid.n)
-    vals = vals / np.max(np.abs(vals))
-    return field_from_values(grid, vals)
-
-
 # -- minimization scaling law ---------------------------------------------------
 
 

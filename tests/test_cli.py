@@ -219,6 +219,14 @@ class TestOtherCommands:
         payload = json.load(open(str(tmp_path / "g.json")))
         assert payload["checked"] is False
 
+    def test_commutator_unknown_field_exit_2(self, tmp_path):
+        report = str(tmp_path / "c.json")
+        assert main(["commutator", "--field", "spectral", "--n", "256", "--L", "50",
+                     "--report", report]) == 2
+        payload = json.load(open(report))
+        assert payload["error"] == "ValueError"
+        assert "unknown field kind 'spectral'" in payload["message"]
+
     def test_kp_check_command(self, tmp_path):
         report = str(tmp_path / "kp.json")
         assert main(["kp-check", "--report", report]) == 0

@@ -184,14 +184,18 @@ class TestInterpolant:
         np.testing.assert_allclose(sample_interpolant(u, pts),
                                    np.cos(3.0 * np.pi / 25.0 * pts), atol=1e-12)
 
-    def test_uniform_evaluator_matches_chunked(self, rng):
-        g = make_grid(256, 12.0)
+    @pytest.mark.parametrize("n, L, start, step, count, stride", [
+        (256, 12.0, -5.0, 0.0317, 300, 1),
+        (256, 12.0, -5.0, 0.0317, 50, 1),
+        (32768, 400.0, -200.0, 0.5 * 800.0 / 32768, 32768, 256),  # a lam = 0.5 dilation
+    ], ids=["more_points_than_modes", "fewer_points_than_modes", "n32768_half_step"])
+    def test_uniform_evaluator_matches_chunked(self, n, L, start, step, count, stride):
+        g = make_grid(n, L)
         u = field_from_values(g, np.exp(-g.x**2) * (1 + 0.5 * np.sin(g.x)))
-        start, step, count = -5.0, 0.0317, 300
-        pts = start + step * np.arange(count)
+        k = np.arange(0, count, stride)
         np.testing.assert_allclose(
-            sample_interpolant_uniform(u, start, step, count),
-            sample_interpolant(u, pts), atol=1e-11,
+            sample_interpolant_uniform(u, start, step, count)[k],
+            sample_interpolant(u, start + step * k), atol=1e-11,
         )
 
     def test_upsample_is_exact(self):

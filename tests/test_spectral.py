@@ -1,5 +1,8 @@
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -305,3 +308,13 @@ class TestKernelOwnership:
                 if complex_1d or lattice:
                     offenders.append(f"{path.name}:{lineno}: {line.strip()}")
         assert not offenders, "\n".join(offenders)
+
+    def test_import_loads_no_scipy(self):
+        """numpy is the only dependency: importing the package loads no scipy
+        module."""
+        code = ("import fracsol, sys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
