@@ -40,7 +40,7 @@ from .ground_state import (
     rescale_solitary,
 )
 from .kp import blt_ratio, field2d_from_function, kp_identity_consistency, make_grid2d, kp_rescale
-from .spectral import DispersionSymbol, field_from_values, make_grid
+from .spectral import PURE_POWER, DispersionSymbol, field_from_values, make_grid
 from .verification import (
     commutator_decay,
     gn_scan,
@@ -111,6 +111,16 @@ def _model(cfg) -> ModelSpec:
                      bbm_form=cfg["bbm_form"])
 
 
+def _or_default(cfg, key, default):
+    """The value of a key whose 0 selects the command's default; a negative or
+    non-finite value is a usage error, never a silent fallback."""
+    value = cfg[key]
+    if not (value >= 0 and np.isfinite(value)):
+        raise ValueError(f"--{key.replace('_', '-')} must be finite and >= 0 "
+                         f"(0 selects the default), got {value}")
+    return value or default
+
+
 def _floats(cs: str) -> list:
     return [float(tok) for tok in cs.split(",") if tok.strip()]
 
@@ -140,9 +150,7 @@ def cmd_ground_state(cfg, args) -> int:
     grid = make_grid(cfg["n"], cfg["L"])
     wave = petviashvili(model, cfg["c"], grid, tol=cfg["tol"], max_iter=cfg["max_iter"])
     reports = []
-    if model.symbol.kind == "power" and model.p == 1 and not (
-        model.family == FBBM and model.bbm_form == "derived"
-    ):
+    if model.symbol.kind == PURE_POWER:
         reports = identity_suite(wave, tolerance=cfg["identity_tol"])
     if cfg["out"]:
         fio.save_wave(wave, cfg["out"])
@@ -227,8 +235,8 @@ def cmd_evolve(cfg, args) -> int:
         raise ValueError("evolve needs --profile")
     wave = fio.load_wave(cfg["profile"])
     grid = wave.profile.grid
-    dt = cfg["dt"] if cfg["dt"] > 0 else 0.1 * grid.dx
-    record = cfg["record_every"] if cfg["record_every"] > 0 else max(1, int(round(0.25 / dt)))
+    dt = _or_default(cfg, "dt", 0.1 * grid.dx)
+    record = _or_default(cfg, "record_every", max(1, int(round(0.25 / dt))))
     trace = evolve(wave.model, wave.profile, cfg["T"], dt, dealias=cfg["dealias"],
                    record_every=record, track_orbit=wave if cfg["track"] else None)
     if cfg["out"]:
@@ -251,7 +259,7 @@ def cmd_evolve(cfg, args) -> int:
 def cmd_stability(cfg, args) -> int:
     model = _model(cfg)
     grid = make_grid(cfg["n"], cfg["L"])
-    dt = cfg["dt"] if cfg["dt"] > 0 else 2.0**-9
+    dt = _or_default(cfg, "dt", 2.0**-9)
     report, trace = stability_experiment(
         model, cfg["c"], cfg["delta"], cfg["perturb"], cfg["T"], dt, grid,
         seed=cfg["seed"], K=cfg["K"], gate_tolerance=cfg["gate_tol"],

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .functionals import Report, energy_fkdv, mass, weinstein
-from .ground_state import SolitaryWave, dilate_field, minimize_iq
+from .ground_state import FBBM, SolitaryWave, dilate_field, minimize_iq
 from .spectral import PURE_POWER, DispersionSymbol, Grid1D, RealField, field_from_values, quad_form
 
 __all__ = [
@@ -53,38 +53,43 @@ def _report(name: str, lhs: float, rhs: float, tol: float) -> IdentityReport:
     )
 
 
-def _profile_integrals(u: RealField, alpha: float):
-    grid = u.grid
-    grad_sq = quad_form(np.fft.rfft(u.values), grid, grid.xi_r**alpha)
-    l2_sq = float(grid.dx * np.sum(u.values**2))
-    cube = float(grid.dx * np.sum(u.values**3))
-    return grad_sq, l2_sq, cube
-
-
 def identity_suite(Q: SolitaryWave, tolerance: float = 1e-6) -> list[IdentityReport]:
-    """The five integral identities characterizing pure-power profiles.
+    """The five integral identities of a pure-power profile.
 
-    With g = int |D^{a/2}Q|^2, m = int Q^2, k = int Q^3:
-      energy            g + c m = k/2
-      pohozaev          ((1-a)/2) g + (c/2) m = k/6
-      kinetic_mass      (3a - 1) g = c m
-      kinetic_fraction  g = c m / (3a - 1)
-      cubic_fraction    k = 6 a c m / (3a - 1)
+    For D^a Q + c Q = Q^{p+1}/(p+1), the profile equation of fKdV and
+    paper-form fBBM (p = 1) and of gfKdV (any p), write g = int |D^{a/2}Q|^2,
+    m = int Q^2, k = int Q^{p+2} and s = (p+2)a - p:
+      energy            g + c m = k/(p+1)
+      pohozaev          ((1-a)/2) g + (c/2) m = k/((p+1)(p+2))
+      kinetic_mass      s g = p c m
+      kinetic_fraction  g = p c m / s
+      cubic_fraction    k = (p+1)(p+2) a c m / s
+    A derived-form fBBM profile, c D^a Q + (c-1) Q = Q^2/2, is checked as
+    psi = Q/c at velocity (c-1)/c, so its rows (and the residual precondition)
+    are in the psi variables.
     """
-    if Q.model.symbol.kind != PURE_POWER:
+    model = Q.model
+    if model.symbol.kind != PURE_POWER:
         raise ValueError("identity_suite applies to pure-power dispersion only")
-    if Q.residual_sup >= 1e-6:
+    u, c, residual = Q.profile.values, Q.c, Q.residual_sup
+    if model.family == FBBM and model.bbm_form == "derived":
+        # c D^a u + (c-1) u = u^2/2 maps to the pure form under u = c * psi
+        u, c, residual = u * (1.0 / c), (c - 1.0) / c, residual / c**2
+    if residual >= 1e-6:
         raise ValueError(
-            f"profile residual {Q.residual_sup:.3e} too large for identity checks (need < 1e-6)"
+            f"profile residual {residual:.3e} too large for identity checks (need < 1e-6)"
         )
-    alpha, c = Q.alpha, Q.c
-    g, m, k = _profile_integrals(Q.profile, alpha)
+    grid, alpha, p = Q.profile.grid, Q.alpha, model.p
+    g = quad_form(np.fft.rfft(u), grid, grid.xi_r**alpha)
+    m = float(grid.dx * np.sum(u**2))
+    k = float(grid.dx * np.sum(u ** (p + 2)))
+    s = (p + 2) * alpha - p
     return [
-        _report("energy", g + c * m, 0.5 * k, tolerance),
-        _report("pohozaev", 0.5 * (1.0 - alpha) * g + 0.5 * c * m, k / 6.0, tolerance),
-        _report("kinetic_mass", (3.0 * alpha - 1.0) * g, c * m, tolerance),
-        _report("kinetic_fraction", g, c * m / (3.0 * alpha - 1.0), tolerance),
-        _report("cubic_fraction", k, 6.0 * alpha * c * m / (3.0 * alpha - 1.0), tolerance),
+        _report("energy", g + c * m, k / (p + 1), tolerance),
+        _report("pohozaev", (1.0 - alpha) / 2 * g + c / 2 * m, k / ((p + 1) * (p + 2)), tolerance),
+        _report("kinetic_mass", s * g, p * c * m, tolerance),
+        _report("kinetic_fraction", g, p * c * m / s, tolerance),
+        _report("cubic_fraction", k, (p + 1) * (p + 2) * alpha * c * m / s, tolerance),
     ]
 
 

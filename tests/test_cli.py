@@ -49,6 +49,14 @@ class TestGroundStateCommand:
         assert main(args) == 0
         assert read(report) == first
 
+    def test_gfkdv_reports_identities(self, tmp_path):
+        report = str(tmp_path / "g.json")
+        assert main(["ground-state", "--family", "gfkdv", "--p", "2", "--alpha", "1.5",
+                     "--report", report]) == 0
+        rows = json.load(open(report))["identities"]
+        assert len(rows) == 5
+        assert all(row["pass"] for row in rows)
+
     def test_validation_error_exit_2(self, tmp_path):
         code = main(["ground-state", "--alpha", "3.0", "--n", "4096",
                      "--L", "200"])
@@ -249,6 +257,26 @@ class TestOtherCommands:
                      "--report", report]) == 2
         payload = json.load(open(report))
         assert payload["error"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--dt", "-1"],
+        ["evolve", "--dt", "nan"],
+        ["evolve", "--record-every", "-1"],
+        ["stability", "--dt", "-1", "--n", "4096", "--L", "200"],
+    ], ids=["evolve_dt_negative", "evolve_dt_nan", "evolve_record_every_negative",
+            "stability_dt_negative"])
+    def test_bad_step_flag_exit_2(self, argv, tmp_path):
+        # 0 is the only value that selects the default step
+        grid = make_grid(256, 20.0)
+        path = str(tmp_path / "q.csv")
+        save_profile(field_from_values(grid, np.exp(-grid.x**2)), path,
+                     {"c": 1.0, "alpha": 0.75, "family": "fkdv"})
+        report = str(tmp_path / "r.json")
+        profile = ["--profile", path] if argv[0] == "evolve" else []
+        assert main(argv + profile + ["--T", "0.5", "--report", report]) == 2
+        payload = json.load(open(report))
+        assert payload["error"] == "ValueError"
+        assert argv[1] in payload["message"]
 
     def test_iq_scaling_command(self, tmp_path):
         report = str(tmp_path / "iq.json")

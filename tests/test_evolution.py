@@ -21,7 +21,7 @@ from fracsol.evolution import (
     orbital_distance,
     stability_experiment,
 )
-from fracsol.ground_state import FBBM, FKDV, solitary_from_profile
+from fracsol.ground_state import FBBM, FKDV, GFKDV, solitary_from_profile
 
 POWER = DispersionSymbol.power
 
@@ -254,6 +254,13 @@ class TestStabilityExperiment:
             model, 1.0, 0.01, "gaussian", 5.0, 2.0**-9, grid8,
             gate_tolerance=np.inf)
         assert report.verdict in ("bounded", "growing", "inconclusive")
+
+    def test_gfkdv_passes_the_gate(self, grid_desk):
+        # the gate checks the p = 2 identities, not the quadratic ones
+        model = ModelSpec(family=GFKDV, symbol=POWER(1.5), p=2)
+        report, _ = stability_experiment(
+            model, 1.0, 0.01, "gaussian", 1.0, 2.0**-9, grid_desk)
+        assert report.verdict == "bounded"
 
     def test_gate_rejects_bad_profile(self, grid8, wave8):
         import dataclasses

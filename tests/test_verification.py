@@ -9,7 +9,7 @@ from fracsol import (
     petviashvili,
     weinstein,
 )
-from fracsol.ground_state import FKDV, solitary_from_profile
+from fracsol.ground_state import FBBM, FKDV, GFKDV, solitary_from_profile
 from fracsol.verification import (
     commutator_decay,
     gn_scan,
@@ -66,6 +66,21 @@ class TestIdentitySuite:
         wave = petviashvili(model, 1.4, grid_desk)
         with pytest.raises(ValueError, match="pure-power"):
             identity_suite(wave)
+
+    @pytest.mark.parametrize("model, c, n, L, tol", [
+        (ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, 4096, 200.0, 1e-3),
+        (ModelSpec(family=GFKDV, symbol=POWER(1.5), p=2), 1.0, 4096, 200.0, 1e-3),
+        # the stability gate's grid and tolerance for this model
+        (ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived"), 2.0,
+         16384, 400.0, 2e-3),
+    ], ids=["fkdv", "gfkdv_p2", "fbbm_derived"])
+    def test_each_model_meets_its_identities(self, model, c, n, L, tol):
+        wave = petviashvili(model, c, make_grid(n, L))
+        reports = identity_suite(wave, tolerance=tol)
+        assert [r.name for r in reports] == [
+            "energy", "pohozaev", "kinetic_mass", "kinetic_fraction", "cubic_fraction"]
+        assert all(r.passed for r in reports), [
+            (r.name, r.relative_residual) for r in reports]
 
     def test_residual_report_structure(self, bo_wave):
         for rep in identity_suite(bo_wave, tolerance=1e-3):
