@@ -36,8 +36,8 @@ from .ground_state import (
     GFKDV,
     ModelSpec,
     minimize_iq,
+    paper_form,
     petviashvili,
-    rescale_solitary,
 )
 from .kp import blt_ratio, field2d_from_function, kp_identity_consistency, make_grid2d, kp_rescale
 from .spectral import PURE_POWER, DispersionSymbol, field_from_values, make_grid
@@ -168,36 +168,13 @@ def cmd_ground_state(cfg, args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_rescale(cfg, args) -> int:
-    if not cfg["profile"]:
-        raise ValueError("rescale needs --profile")
-    wave = fio.load_wave(cfg["profile"])
-    scaled = rescale_solitary(wave, cfg["c_new"])
-    alpha = wave.alpha
-    predicted = (cfg["c_new"] / wave.c) ** ((2 * alpha - 1) / alpha)
-    measured = mass(scaled.profile) / mass(wave.profile)
-    rel = abs(measured - predicted) / predicted
-    ok = rel < cfg["mass_tol"]
-    if cfg["out"]:
-        fio.save_wave(scaled, cfg["out"])
-    _write_report({
-        "c_new": cfg["c_new"],
-        "residual_sup": scaled.residual_sup,
-        "mass_ratio_measured": measured,
-        "mass_ratio_predicted": predicted,
-        "mass_ratio_rel_error": rel,
-        "pass": ok,
-    }, cfg, cfg["report"])
-    print(f"rescale: c {wave.c} -> {cfg['c_new']}, mass ratio rel err {rel:.3e} "
-          f"[{'pass' if ok else 'FAIL'}]")
-    return 0 if ok else 1
-
-
 def cmd_verify(cfg, args) -> int:
     if not cfg["profile"]:
         raise ValueError("verify needs --profile")
-    wave = fio.load_wave(cfg["profile"])
-    alpha = wave.alpha
+    # J is amplitude-invariant, so the family is solved around psi = Q/c for
+    # a derived-form fBBM profile
+    wave = paper_form(fio.load_wave(cfg["profile"]))
+    alpha, p = wave.alpha, wave.model.p
     grid = wave.profile.grid
 
     reports = identity_suite(wave, tolerance=cfg["identity_tol"])
@@ -206,7 +183,7 @@ def cmd_verify(cfg, args) -> int:
             for a in (0.0, 0.6, 1.0, 2.0)]
 
     family = [petviashvili(wave.model, f * wave.c, grid) for f in (0.5, 2.0)]
-    js = [weinstein(w.profile, alpha) for w in (family[0], wave, family[1])]
+    js = [weinstein(w.profile, alpha, p) for w in (family[0], wave, family[1])]
     spread = (max(js) - min(js)) / min(js)
     spread_ok = spread < cfg["spread_tol"]
 
@@ -422,8 +399,6 @@ COMMANDS = {
     "ground-state": (cmd_ground_state, "solitary-wave solve + identity suite", dict(
         **MODEL, n=4096, L=200.0, tol=1e-10, max_iter=500,
         identity_tol=DESK_IDENTITY_TOL, out="", report="")),
-    "rescale": (cmd_rescale, "velocity rescaling of a stored profile", dict(
-        profile="", c_new=2.0, mass_tol=1e-4, out="", report="")),
     # the family members in the scan battery are fresh solves on the profile's
     # grid, within the same periodization envelope as the identity suite,
     # hence the desk-scale slack

@@ -42,6 +42,7 @@ BLOWUP_FACTOR = 1e6
 DELTA_FLOOR = 1e-5
 N_CONTOUR = 32  # contour points per mode
 CONTOUR_BLOCK = 1024  # modes per block of contour arrays
+NEWTON_CAP = 20  # Newton steps of the orbital-distance shift refinement
 
 
 @dataclass(frozen=True)
@@ -203,9 +204,12 @@ def evolve(
 def orbital_distance(u: RealField, Q: SolitaryWave, alpha: float) -> tuple[float, float]:
     """inf over y of the energy-norm distance between u(. + y) and Q.
 
-    Coarse stage maximizes the L^2 cross-correlation over whole-grid shifts
-    (computed spectrally); the refine stage runs successive parabolic
-    interpolation on the squared energy-norm objective.  Returns the distance
+    With w = 1 + |xi|^alpha the squared distance is a constant minus 2 C(y),
+    C(y) = sum_k c_k w_k Re(uhat_k conj(qhat_k) e^{i xi_k y}), where c_k is 2
+    for interior modes and 1 for the mean and Nyquist modes.  One irfft of the
+    weighted cross-spectrum gives C at every whole-grid shift; Newton steps on
+    C' = 0 from the best of them, each clipped to one cell around it, refine
+    the shift.  Returns the distance, as the norm of the aligned difference,
     and the aligning shift y_star, normalized to [-L, L).
     """
     grid = u.grid
@@ -213,48 +217,25 @@ def orbital_distance(u: RealField, Q: SolitaryWave, alpha: float) -> tuple[float
         raise ValueError("field and profile live on different grids")
     uhat = np.fft.rfft(u.values)
     qhat = np.fft.rfft(Q.profile.values)
-    # correlation against Q shifted by m*dx; best u-shift is the negative
-    corr = np.fft.irfft(qhat * np.conj(uhat), n=grid.n)
-    m_best = int(np.argmax(corr))
-    z0 = -m_best * grid.dx
-
     weight = 1.0 + grid.xi_r**alpha
-
-    def objective(z: float) -> float:
-        return quad_form(_shift_phase(grid, z) * uhat - qhat, grid, weight)
-
-    h = grid.dx
-    zs = [z0 - h, z0, z0 + h]
-    vals = [objective(z) for z in zs]
-    for _ in range(60):
-        order = np.argsort(zs)
-        zs = [zs[i] for i in order]
-        vals = [vals[i] for i in order]
-        (za, zb, zc), (fa, fb, fc) = zs, vals
-        if fb < 1e-28:
+    cross = weight * uhat * np.conj(qhat)
+    z0 = int(np.argmax(np.fft.irfft(cross, n=grid.n))) * grid.dx
+    cross[1:-1] *= 2.0  # now C(y) = Re sum_k cross_k e^{i xi_k y}
+    xi = grid.xi_r
+    z = z0
+    for _ in range(NEWTON_CAP):
+        terms = cross * np.exp(1j * xi * z)
+        d1 = -float(np.sum(xi * terms.imag))
+        d2 = -float(np.sum(xi**2 * terms.real))
+        if d2 >= 0.0:
             break
-        denom = (zb - za) * (fb - fc) - (zb - zc) * (fb - fa)
-        if abs(denom) < 1e-300:
+        step = min(max(z - d1 / d2, z0 - grid.dx), z0 + grid.dx) - z
+        z += step
+        if abs(step) < 1e-13 * max(1.0, abs(z)):
             break
-        v = zb - 0.5 * ((zb - za) ** 2 * (fb - fc) - (zb - zc) ** 2 * (fb - fa)) / denom
-        if not np.isfinite(v) or v <= za or v >= zc:
-            v = 0.5 * (za + zc)
-        if min(abs(v - z) for z in zs) < 1e-13 * max(1.0, abs(v)):
-            break
-        fv = objective(v)
-        # keep the best bracketing triple
-        pts = sorted(zip(zs + [v], vals + [fv]))
-        i_best = int(np.argmin([f for _, f in pts]))
-        lo, hi = max(i_best - 1, 0), min(i_best + 1, len(pts) - 1)
-        if hi - lo < 2:
-            lo, hi = (0, 2) if i_best == 0 else (len(pts) - 3, len(pts) - 1)
-        zs = [pts[i][0] for i in range(lo, hi + 1)]
-        vals = [pts[i][1] for i in range(lo, hi + 1)]
-    i_best = int(np.argmin(vals))
-    z_star = zs[i_best]
-    dist = float(np.sqrt(max(vals[i_best], 0.0)))
-    y_star = (z_star + grid.L) % (2.0 * grid.L) - grid.L
-    return dist, float(y_star)
+    dist = np.sqrt(quad_form(_shift_phase(grid, z) * uhat - qhat, grid, weight))
+    y_star = (z + grid.L) % (2.0 * grid.L) - grid.L
+    return float(dist), float(y_star)
 
 
 # -- stability experiments ------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Sign conventions: the cubic integral enters the energy with the signed
 ``u**3`` while the Weinstein ratio and the Gagliardo-Nirenberg check use
-``|u|**3``; the two differ for sign-changing fields.  The BBM pair keeps
+``|u|**3`` (``|u|**(p+2)`` for the Weinstein ratio at power p); the two
+differ for sign-changing fields.  The BBM pair keeps
 the factor 1/2 on the quadratic form, i.e. ``bbm_quadratic`` is half of
 int ((1 + p(D)) u) u and ``bbm_hamiltonian`` is the integral of
 ``u^2/2 + u^3/6``.
@@ -27,7 +28,7 @@ __all__ = [
     "gn_check",
 ]
 
-CUBE_FLOOR = 1e-14
+POWER_FLOOR = 1e-14
 
 
 class Report:
@@ -87,21 +88,23 @@ def bbm_hamiltonian(u: RealField) -> float:
     return float(u.grid.dx * np.sum(v**2 / 2.0 + v**3 / 6.0))
 
 
-def weinstein(u: RealField, alpha: float) -> float:
-    """Scale-invariant ratio (int |u|^3)^-1 (int |D^{a/2}u|^2)^{1/(2a)} (int u^2)^{(3a-1)/(2a)}.
+def weinstein(u: RealField, alpha: float, p: int = 1) -> float:
+    """Scale-invariant ratio
+    (int |u|^{p+2})^-1 (int |D^{a/2}u|^2)^{p/(2a)} (int u^2)^{((p+2)a-p)/(2a)}.
 
-    Its infimum over nonzero fields is attained by the ground state and
-    gives the sharp Gagliardo-Nirenberg constant.
+    Its infimum over nonzero fields is attained by the ground state of the
+    power-p nonlinearity and gives the sharp Gagliardo-Nirenberg constant.
     """
-    if not (1.0 / 3.0 < alpha <= 2.0):
-        raise ValueError(f"weinstein needs alpha in (1/3, 2], got {alpha}")
+    if not (p / (p + 2) < alpha <= 2.0):
+        raise ValueError(f"weinstein needs alpha in ({p}/{p + 2}, 2], got {alpha}")
     v = u.values
-    cube = float(u.grid.dx * np.sum(np.abs(v) ** 3))
-    if cube <= CUBE_FLOOR:
-        raise ValueError("weinstein is undefined: integral of |u|^3 vanishes")
+    power = float(u.grid.dx * np.sum(np.abs(v) ** (p + 2)))
+    if power <= POWER_FLOOR:
+        raise ValueError(f"weinstein is undefined: integral of |u|^{p + 2} vanishes")
     grad_sq = quad_form(np.fft.rfft(v), u.grid, u.grid.xi_r**alpha)
     l2_sq = float(u.grid.dx * np.sum(v**2))
-    return grad_sq ** (0.5 / alpha) * l2_sq ** ((3.0 * alpha - 1.0) / (2.0 * alpha)) / cube
+    return (grad_sq ** (0.5 * p / alpha)
+            * l2_sq ** (((p + 2) * alpha - p) / (2.0 * alpha)) / power)
 
 
 @dataclass(frozen=True)

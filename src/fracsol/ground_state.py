@@ -6,7 +6,7 @@ Three routes to the same family of objects:
   stabilizing factor for the profile equation ``p(D)Q + cQ = Q^{p+1}/(p+1)``
   (and the integrated-BBM variant ``c D^alpha Q + (c-1) Q = Q^2/2``),
 * ``rescale_solitary``: the exact velocity rescaling
-  ``Q_c(x) = c Q(c^{1/alpha} x)`` of a pure-power profile, realized by
+  ``Q_c(x) = c^{1/p} Q(c^{1/alpha} x)`` of a pure-power profile, realized by
   evaluating the trigonometric interpolant,
 * ``minimize_iq``: projected gradient descent for the energy at fixed mass,
   whose minimizer is the rescaled ground state at velocity ``cstar``.
@@ -15,7 +15,7 @@ Three routes to the same family of objects:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -39,6 +39,7 @@ __all__ = [
     "MinimizerResult",
     "petviashvili",
     "rescale_solitary",
+    "paper_form",
     "cstar",
     "minimize_iq",
     "sample_interpolant_uniform",
@@ -122,6 +123,26 @@ class SolitaryWave:
     @property
     def alpha(self) -> float:
         return self.model.symbol.alpha
+
+
+def paper_form(Q: SolitaryWave) -> SolitaryWave:
+    """Q in the form D^a psi + c psi = psi^{p+1}/(p+1) of every pure-power model.
+
+    A derived-form fBBM profile, c D^a Q + (c-1) Q = Q^2/2, maps to psi = Q/c
+    at velocity (c-1)/c with residuals divided by c^2; any other wave is
+    already in that form and is returned as is.
+    """
+    model, c = Q.model, Q.c
+    if not (model.family == FBBM and model.bbm_form == "derived"):
+        return Q
+    return SolitaryWave(
+        profile=Q.profile * (1.0 / c),
+        c=(c - 1.0) / c,
+        model=replace(model, bbm_form="paper"),
+        residual_sup=Q.residual_sup / c**2,
+        residual_l2=Q.residual_l2 / c**2,
+        iterations=Q.iterations,
+    )
 
 
 def solitary_from_profile(profile: RealField, c: float, model: ModelSpec,
@@ -315,9 +336,12 @@ def dilate_field(u: RealField, lam: float, amplitude: float = 1.0) -> RealField:
 
 
 def rescale_solitary(Q: SolitaryWave, c_new: float) -> SolitaryWave:
-    """Map a pure-power profile at velocity c to c_new via Q_c = c Q(c^{1/alpha} x)."""
+    """Map a pure-power profile at velocity c to c_new via
+    Q_c = c^{1/p} Q(c^{1/alpha} x)."""
     if Q.model.symbol.kind != PURE_POWER:
         raise ValueError("velocity rescaling is only valid for the pure-power symbol")
+    if Q.model.family == FBBM and Q.model.bbm_form == "derived":
+        raise ValueError("no dilation maps the derived fBBM profile equation onto itself")
     if not c_new > 0:
         raise ValueError(f"target velocity must be positive, got {c_new}")
     if Q.residual_sup >= 1e-6:
@@ -327,13 +351,14 @@ def rescale_solitary(Q: SolitaryWave, c_new: float) -> SolitaryWave:
     if c_new == Q.c:
         return Q
     ratio = c_new / Q.c
+    amp = ratio ** (1.0 / Q.model.p)
     lam = ratio ** (1.0 / Q.alpha)
-    profile = dilate_field(Q.profile, lam, amplitude=ratio)
+    profile = dilate_field(Q.profile, lam, amplitude=amp)
     wave = solitary_from_profile(profile, c_new, Q.model, iterations=Q.iterations)
     # resampling error: the box boundary tail reenters through the dilation
     grid = Q.profile.grid
     tail = float(np.abs(Q.profile.values[0]))
-    bound = ratio * tail * (c_new + float(np.max(Q.model.symbol(grid.xi_r)))) + 1e-12
+    bound = amp * tail * (c_new + float(np.max(Q.model.symbol(grid.xi_r)))) + 1e-12
     if wave.residual_sup > 10.0 * Q.residual_sup + bound:
         warnings.warn(
             f"rescaled residual {wave.residual_sup:.3e} exceeds 10x input "

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .functionals import Report, energy_fkdv, mass, weinstein
-from .ground_state import FBBM, SolitaryWave, dilate_field, minimize_iq
+from .ground_state import SolitaryWave, dilate_field, minimize_iq, paper_form
 from .spectral import PURE_POWER, DispersionSymbol, Grid1D, RealField, field_from_values, quad_form
 
 __all__ = [
@@ -64,22 +64,18 @@ def identity_suite(Q: SolitaryWave, tolerance: float = 1e-6) -> list[IdentityRep
       kinetic_mass      s g = p c m
       kinetic_fraction  g = p c m / s
       cubic_fraction    k = (p+1)(p+2) a c m / s
-    A derived-form fBBM profile, c D^a Q + (c-1) Q = Q^2/2, is checked as
-    psi = Q/c at velocity (c-1)/c, so its rows (and the residual precondition)
-    are in the psi variables.
+    A derived-form fBBM profile, c D^a Q + (c-1) Q = Q^2/2, is checked in its
+    paper form psi = Q/c at velocity (c-1)/c, so its rows (and the residual
+    precondition) are in the psi variables.
     """
-    model = Q.model
-    if model.symbol.kind != PURE_POWER:
+    if Q.model.symbol.kind != PURE_POWER:
         raise ValueError("identity_suite applies to pure-power dispersion only")
-    u, c, residual = Q.profile.values, Q.c, Q.residual_sup
-    if model.family == FBBM and model.bbm_form == "derived":
-        # c D^a u + (c-1) u = u^2/2 maps to the pure form under u = c * psi
-        u, c, residual = u * (1.0 / c), (c - 1.0) / c, residual / c**2
-    if residual >= 1e-6:
+    Q = paper_form(Q)
+    if Q.residual_sup >= 1e-6:
         raise ValueError(
-            f"profile residual {residual:.3e} too large for identity checks (need < 1e-6)"
+            f"profile residual {Q.residual_sup:.3e} too large for identity checks (need < 1e-6)"
         )
-    grid, alpha, p = Q.profile.grid, Q.alpha, model.p
+    u, c, grid, alpha, p = Q.profile.values, Q.c, Q.profile.grid, Q.alpha, Q.model.p
     g = quad_form(np.fft.rfft(u), grid, grid.xi_r**alpha)
     m = float(grid.dx * np.sum(u**2))
     k = float(grid.dx * np.sum(u ** (p + 2)))
@@ -256,11 +252,13 @@ class GNScanReport(Report):
 
 def gn_scan(Q: SolitaryWave, battery: Sequence[RealField], alpha: float,
             slack: float = 1e-8) -> GNScanReport:
-    """Assert the ground state minimizes the Weinstein ratio over a battery."""
+    """Assert the ground state minimizes the Weinstein ratio, at the
+    nonlinearity power of its model, over a battery."""
     if len(battery) == 0:
         raise ValueError("gn_scan needs a non-empty battery")
-    j_ground = weinstein(Q.profile, alpha)
-    ratios = tuple(weinstein(f, alpha) / j_ground for f in battery)
+    p = Q.model.p
+    j_ground = weinstein(Q.profile, alpha, p)
+    ratios = tuple(weinstein(f, alpha, p) / j_ground for f in battery)
     argmin = int(np.argmin(ratios))
     min_ratio = float(ratios[argmin])
     return GNScanReport(

@@ -180,16 +180,17 @@ class TestOtherCommands:
         assert payload["error"] == "ValueError"
         assert "sidecar c=None" in payload["message"]
 
-    def test_rescale_command(self, tmp_path):
-        src = str(tmp_path / "q.csv")
-        assert main(["ground-state", "--alpha", "1.0", "--c", "1", "--n", "4096",
-                     "--L", "200", "--out", src]) == 0
-        out = str(tmp_path / "q2.csv")
-        code = main(["rescale", "--profile", src, "--c-new", "2.0", "--out", out,
-                     "--report", str(tmp_path / "r.json")])
-        assert code == 0
-        payload = json.load(open(str(tmp_path / "r.json")))
-        assert abs(payload["mass_ratio_predicted"] - 2.0) < 1e-12
+    def test_verify_derived_fbbm_reports(self, tmp_path):
+        # the Weinstein family is solved in the paper form psi = Q/c, so the
+        # command reaches its verdicts instead of rejecting velocity c/2 = 1
+        src = str(tmp_path / "b.csv")
+        main(["ground-state", "--family", "fbbm", "--bbm-form", "derived", "--c", "2",
+              "--out", src])
+        report = str(tmp_path / "v.json")
+        assert main(["verify", "--profile", src, "--report", report]) == 1
+        payload = json.load(open(report))
+        assert len(payload["weinstein_values"]) == 3
+        assert 0.99 < payload["gn_scan"]["min_ratio"] < 1.0
 
     def test_evolve_command(self, tmp_path):
         src = str(tmp_path / "q.csv")

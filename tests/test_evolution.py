@@ -166,22 +166,35 @@ class TestOrbitalDistance:
         assert dist <= energy_norm(bump, 0.75) + 1e-12
 
     def test_matches_brute_force_scan(self, wave8):
-        u = 1.05 * wave8.profile
-        dist, _ = orbital_distance(u, wave8, 0.75)
         g = wave8.profile.grid
-        # oracle: dense scan over sub-grid shifts of the squared objective
-        uhat = np.fft.fft(u.values)
         qhat = np.fft.fft(wave8.profile.values)
         xi = two_sided_xi(g)
         w = g.dx / g.n * (1.0 + np.abs(xi) ** 0.75)
         shifts = np.linspace(-2.0 * g.dx, 2.0 * g.dx, 4001)
         nyq = g.n // 2
-        best = np.inf
-        for z in shifts:
-            phase = np.exp(1j * xi * z)
-            phase[nyq] = np.cos(xi[nyq] * z)
-            best = min(best, np.sum(w * np.abs(phase * uhat - qhat) ** 2))
-        assert abs(dist - np.sqrt(best)) < 1e-6
+        # a scaled profile (y_star = 0) and one with an off-centre bump
+        for bump in (0.0, 0.5):
+            u = 1.05 * wave8.profile + field_from_values(
+                g, bump * np.exp(-((g.x - 2.0) / 1.5) ** 2))
+            dist, y_star = orbital_distance(u, wave8, 0.75)
+            # oracle: dense scan over sub-grid shifts of the squared objective
+            uhat = np.fft.fft(u.values)
+            objective = []
+            for z in shifts:
+                phase = np.exp(1j * xi * z)
+                phase[nyq] = np.cos(xi[nyq] * z)
+                objective.append(np.sum(w * np.abs(phase * uhat - qhat) ** 2))
+            best = int(np.argmin(objective))
+            assert abs(dist - np.sqrt(objective[best])) < 1e-6
+            assert abs(y_star - shifts[best]) <= shifts[1] - shifts[0]
+            assert (abs(y_star) > 0.2 * g.dx) == (bump > 0.0)
+
+    def test_zero_field_is_profile_norm(self, wave8):
+        # C vanishes identically, so the curvature guard stops the refinement
+        g = wave8.profile.grid
+        dist, y_star = orbital_distance(field_from_values(g, np.zeros(g.n)), wave8, 0.75)
+        assert dist == energy_norm(wave8.profile, 0.75)
+        assert y_star == 0.0
 
     def test_translation_invariance(self, wave8, rng):
         g = wave8.profile.grid

@@ -119,8 +119,22 @@ class TestWeinstein:
             weinstein(field_from_values(g, np.zeros(g.n)), 0.75)
 
     def test_alpha_range(self, grid_desk):
+        u = bo_profile(grid_desk)
         with pytest.raises(ValueError):
-            weinstein(bo_profile(grid_desk), 0.3)
+            weinstein(u, 0.3)
+        # the lower end is p/(p+2)
+        weinstein(u, 0.45)
+        with pytest.raises(ValueError, match="2/4"):
+            weinstein(u, 0.45, p=2)
+
+    def test_power_p_scale_invariance(self, grid_desk):
+        # at p = 2 the exponents p/(2a) and ((p+2)a - p)/(2a) cancel both the
+        # amplitude and (at a = 2, where the symbol is smooth) the dilation
+        u = field_from_values(grid_desk, np.exp(-grid_desk.x**2))
+        wide = field_from_values(grid_desk, np.exp(-((grid_desk.x / 3.0) ** 2)))
+        j = weinstein(u, 2.0, p=2)
+        assert abs(weinstein(5.0 * u, 2.0, p=2) - j) < 1e-12 * j
+        assert abs(weinstein(wide, 2.0, p=2) - j) < 1e-10 * j
 
 
 class TestGNCheck:

@@ -25,8 +25,10 @@ from fracsol.ground_state import (
     FBBM,
     FKDV,
     GFKDV,
+    paper_form,
     profile_residual,
     sample_interpolant_uniform,
+    solitary_from_profile,
     upsample_field,
 )
 
@@ -243,6 +245,32 @@ class TestRescale:
     def test_rejects_nonpositive_velocity(self, q075_wave):
         with pytest.raises(ValueError):
             rescale_solitary(q075_wave, -1.0)
+
+    @pytest.mark.parametrize("c_new", [1.5, 2.0])
+    def test_gfkdv_amplitude_law(self, grid_desk, c_new):
+        # Q_c = c^{1/p} Q(c^{1/alpha} x) solves the p = 2 profile equation
+        wave = petviashvili(ModelSpec(family=GFKDV, symbol=POWER(1.5), p=2), 1.0, grid_desk)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = rescale_solitary(wave, c_new)
+        assert scaled.residual_sup < 1e-4
+
+    def test_rejects_derived_fbbm(self, grid_desk):
+        model = ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived")
+        wave = petviashvili(model, 2.0, grid_desk)
+        with pytest.raises(ValueError, match="derived"):
+            rescale_solitary(wave, 3.0)
+
+
+class TestPaperForm:
+    def test_derived_fbbm_maps_to_psi(self, grid_desk):
+        model = ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived")
+        wave = petviashvili(model, 2.0, grid_desk)
+        psi = paper_form(wave)
+        assert psi.c == 0.5 and psi.model.bbm_form == "paper"
+        np.testing.assert_array_equal(psi.profile.values, wave.profile.values * 0.5)
+        direct = solitary_from_profile(psi.profile, psi.c, psi.model)
+        assert abs(direct.residual_sup - psi.residual_sup) <= 1e-3 * psi.residual_sup
 
 
 class TestCstar:

@@ -220,6 +220,13 @@ class TestGNScan:
         with pytest.raises(ValueError):
             gn_scan(q075_wave, [], 0.75)
 
+    def test_uses_the_model_power(self, grid_desk):
+        wave = petviashvili(ModelSpec(family=GFKDV, symbol=POWER(1.5), p=2), 1.0, grid_desk)
+        gauss = field_from_values(grid_desk, np.exp(-grid_desk.x**2))
+        rep = gn_scan(wave, [gauss], 1.5)
+        assert rep.ground_value == weinstein(wave.profile, 1.5, 2)
+        assert rep.passed and rep.min_ratio > 1.0
+
     def test_gaussian_ratio_strictly_above_one(self, q075_wave):
         g = q075_wave.profile.grid
         gauss = field_from_values(g, np.exp(-g.x**2))
