@@ -14,6 +14,7 @@ from .spectral import (
     quad_form,
     resolvent,
     shift_field,
+    spectral_tail,
 )
 from .functionals import (
     FunctionalValue,
@@ -40,6 +41,7 @@ from .verification import (
     CommutatorDecay,
     GNScanReport,
     IdentityReport,
+    IqScalingReport,
     commutator_decay,
     gn_scan,
     identity_suite,

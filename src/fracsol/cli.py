@@ -271,11 +271,13 @@ def cmd_minimize_iq(cfg, args) -> int:
 
 def cmd_iq_scaling(cfg, args) -> int:
     grid = make_grid(cfg["n"], cfg["L"])
-    reports = iq_scaling_check(cfg["alpha"], cfg["q"], _floats(cfg["thetas"]),
-                               grid, tolerance=cfg["tol"])
-    _write_report({"checks": [r.to_dict() for r in reports]}, cfg, cfg["report"])
-    _print_table(reports)
-    return 0 if all(r.passed for r in reports) else 1
+    result = iq_scaling_check(cfg["alpha"], cfg["q"], _floats(cfg["thetas"]),
+                              grid, tolerance=cfg["tol"])
+    _write_report({"n": result.n, "tail": result.tail,
+                   "checks": [r.to_dict() for r in result.checks]}, cfg, cfg["report"])
+    print(f"iq-scaling: n={result.n} tail={result.tail:.2e}")
+    _print_table(result.checks)
+    return 0 if all(r.passed for r in result.checks) else 1
 
 
 def cmd_commutator(cfg, args) -> int:

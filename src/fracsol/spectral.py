@@ -13,6 +13,8 @@ steppers) manipulates fields through Fourier multipliers on this box:
   spectrum (``quad_form``): each interior mode stands for the pair
   ``+-xi`` and counts twice, the mean (DC) and Nyquist modes count once,
 * the fractional derivative of order ``s`` is the multiplier ``|xi|**s``,
+* a field is resolved when its top modes carry a negligible share of its
+  peak mode (``spectral_tail``),
 * translation is the phase ``exp(1j*xi*y)``, exact for band-limited fields;
   the Nyquist mode moves with the real-even ``cos(xi_nyq*y)``,
 * the interpolant at uniformly spaced points is one chirp-z convolution
@@ -40,6 +42,7 @@ __all__ = [
     "resolvent",
     "energy_norm",
     "quad_form",
+    "spectral_tail",
     "shift_field",
     "integrate",
     "l2_norm",
@@ -227,15 +230,29 @@ def l2_norm(u: RealField) -> float:
     return float(np.sqrt(u.grid.dx) * np.linalg.norm(u.values))
 
 
-def quad_form(uhat: np.ndarray, grid: Grid1D, weight: np.ndarray | float) -> float:
-    """Parseval form of int (m(D)u) u dx from the one-sided spectrum
-    uhat = rfft(u), with weight = m(xi_r) for a real, even symbol m.
+def quad_form(uhat: np.ndarray, grid: Grid1D, weight: np.ndarray | float,
+              vhat: np.ndarray | None = None) -> float:
+    """Parseval form of int (m(D)u) v dx from the one-sided spectra
+    uhat = rfft(u) and vhat = rfft(v) (v = u when vhat is None), with
+    weight = m(xi_r) for a real, even symbol m.
 
     Interior modes stand for the pair +-xi and count twice; the mean and
     Nyquist modes count once.
     """
-    power = weight * (uhat.real**2 + uhat.imag**2)
+    vhat = uhat if vhat is None else vhat
+    power = weight * (uhat.real * vhat.real + uhat.imag * vhat.imag)
     return float(grid.dx / grid.n * (2.0 * np.sum(power) - power[0] - power[-1]))
+
+
+TAIL_MODES = 20  # top modes whose amplitude spectral_tail measures
+
+
+def spectral_tail(u: RealField) -> float:
+    """Resolution measure: the largest amplitude among the top TAIL_MODES
+    rfft modes of u over its peak amplitude (0 for the zero field)."""
+    amp = np.abs(np.fft.rfft(u.values))
+    peak = float(amp.max())
+    return float(amp[-TAIL_MODES:].max()) / peak if peak > 0 else 0.0
 
 
 def energy_norm(u: RealField, alpha: float) -> float:

@@ -15,12 +15,23 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .functionals import Report, energy_fkdv, mass, weinstein
 from .ground_state import SolitaryWave, dilate_field, minimize_iq, paper_form
-from .spectral import PURE_POWER, DispersionSymbol, Grid1D, RealField, field_from_values, quad_form
+from .spectral import (
+    PURE_POWER,
+    DispersionSymbol,
+    Grid1D,
+    RealField,
+    field_from_values,
+    make_grid,
+    quad_form,
+    spectral_tail,
+)
 
 __all__ = [
     "IdentityReport",
+    "IqScalingReport",
     "CommutatorDecay",
     "GNScanReport",
     "identity_suite",
@@ -33,6 +44,8 @@ __all__ = [
 ]
 
 RESIDUAL_FLOOR = 1e-300
+RESOLVED_TAIL = 1e-4   # largest spectral_tail share a field may have to be read
+MAX_REFINE = 16        # iq_scaling_check refines n up to this factor
 
 
 @dataclass(frozen=True)
@@ -190,6 +203,13 @@ def commutator_decay(alpha: float, v: RealField, r_list: Sequence[float],
 # -- minimization scaling law ---------------------------------------------------
 
 
+@dataclass(frozen=True)
+class IqScalingReport:
+    n: int           # grid size the checks ran on, after refinement
+    tail: float      # largest spectral_tail share of the fields the checks read
+    checks: tuple    # IdentityReport rows
+
+
 def iq_scaling_check(
     alpha: float,
     q: float,
@@ -198,43 +218,61 @@ def iq_scaling_check(
     tolerance: float = 1e-3,
     mass_law_tolerance: float = 1e-6,
     energy_law_tolerance: float = 1e-3,
-) -> list[IdentityReport]:
+) -> IqScalingReport:
     """Check I_{theta q} = theta^((3a-1)/(2a-1)) I_q by independent minimizations,
     plus the mass/energy transformation laws of the rescaling
     v_theta(x) = theta^(a/(2a-1)) v(theta^(1/(2a-1)) x) applied to the minimizer.
 
     The mass law is quadrature-exact for localized fields; the energy law
     carries the |xi|^alpha lattice-kink error of the kinetic term, of size
-    (pi/L)^(1+alpha) |int v|^2, hence its looser default tolerance."""
+    (pi/L)^(1+alpha) |int v|^2, hence its looser default tolerance.
+
+    The theta q minimizer and v_theta are narrower than the base minimizer
+    by theta^(1/(2a-1)) for theta > 1 and wider for theta < 1.  The checks
+    are taken only on a grid that resolves all three fields they read: n is
+    doubled at fixed L, and every minimization redone, until their
+    spectral_tail shares are at most RESOLVED_TAIL; past MAX_REFINE times
+    the given n this raises ConvergenceError."""
     if not (0.5 < alpha < 1.0):
         raise ValueError(f"iq_scaling_check needs alpha in (1/2, 1), got {alpha}")
-    exponent = (3.0 * alpha - 1.0) / (2.0 * alpha - 1.0)
-    base = minimize_iq(q, alpha, grid)
-    reports = []
     for theta in theta_list:
         if not theta > 0:
             raise ValueError(f"theta must be positive, got {theta}")
-        scaled = minimize_iq(theta * q, alpha, grid)
-        reports.append(_report(
-            f"iq_scaling_theta_{theta:g}",
-            scaled.I_q / base.I_q, theta**exponent, tolerance,
-        ))
-        # transformation laws measured on the explicitly rescaled minimizer
-        lam = theta ** (1.0 / (2.0 * alpha - 1.0))
-        amp = theta ** (alpha / (2.0 * alpha - 1.0))
-        v_theta = dilate_field(base.profile, lam, amplitude=amp)
-        reports.append(_report(
-            f"mass_law_theta_{theta:g}",
-            mass(v_theta), theta * mass(base.profile), mass_law_tolerance,
-        ))
-        sym = DispersionSymbol.power(alpha)
-        reports.append(_report(
-            f"energy_law_theta_{theta:g}",
-            energy_fkdv(v_theta, sym).value,
-            theta**exponent * energy_fkdv(base.profile, sym).value,
-            energy_law_tolerance,
-        ))
-    return reports
+    exponent = (3.0 * alpha - 1.0) / (2.0 * alpha - 1.0)
+    sym = DispersionSymbol.power(alpha)
+    fine = grid
+    while True:
+        base = minimize_iq(q, alpha, fine)
+        reports, tail = [], spectral_tail(base.profile)
+        for theta in theta_list:
+            scaled = minimize_iq(theta * q, alpha, fine)
+            reports.append(_report(
+                f"iq_scaling_theta_{theta:g}",
+                scaled.I_q / base.I_q, theta**exponent, tolerance,
+            ))
+            # transformation laws measured on the explicitly rescaled minimizer
+            lam = theta ** (1.0 / (2.0 * alpha - 1.0))
+            amp = theta ** (alpha / (2.0 * alpha - 1.0))
+            v_theta = dilate_field(base.profile, lam, amplitude=amp)
+            reports.append(_report(
+                f"mass_law_theta_{theta:g}",
+                mass(v_theta), theta * mass(base.profile), mass_law_tolerance,
+            ))
+            reports.append(_report(
+                f"energy_law_theta_{theta:g}",
+                energy_fkdv(v_theta, sym).value,
+                theta**exponent * energy_fkdv(base.profile, sym).value,
+                energy_law_tolerance,
+            ))
+            tail = max(tail, spectral_tail(scaled.profile), spectral_tail(v_theta))
+        if tail <= RESOLVED_TAIL:
+            return IqScalingReport(n=fine.n, tail=tail, checks=tuple(reports))
+        if fine.n >= MAX_REFINE * grid.n:
+            raise ConvergenceError(
+                f"iq_scaling_check: spectral tail share {tail:.3e} > {RESOLVED_TAIL:g} "
+                f"at n = {fine.n} (L = {grid.L:g}), {MAX_REFINE}x the given n"
+            )
+        fine = make_grid(2 * fine.n, grid.L)
 
 
 # -- Weinstein-functional scan ---------------------------------------------------

@@ -151,8 +151,8 @@ def test_criterion_05_iq_scaling_law():
     alpha = 0.75
     grid = make_grid(32768, 400.0)
     Q = solve_big(ModelSpec(family=FKDV, symbol=POWER(alpha)), 1.0, 32768, 400.0)
-    reports = iq_scaling_check(alpha, mass(Q.profile), [2.0], grid, tolerance=1e-3)
-    ratio = next(r for r in reports if r.name.startswith("iq_scaling"))
+    result = iq_scaling_check(alpha, mass(Q.profile), [2.0], grid, tolerance=1e-3)
+    ratio = next(r for r in result.checks if r.name.startswith("iq_scaling"))
     ok = ratio.passed
     announce(5, "I_{2q}/I_q = 2^{5/2}", ok,
              f"measured {ratio.lhs:.6f} vs {ratio.rhs:.6f} "

@@ -212,6 +212,11 @@ class TestOtherCommands:
         assert payload["I_q"] < 0
         assert payload["converged"]
 
+    def test_minimize_iq_small_mass_at_defaults(self, tmp_path):
+        report = str(tmp_path / "m.json")
+        assert main(["minimize-iq", "--q", "2", "--report", report]) == 0
+        assert json.load(open(report))["converged"]
+
     def test_commutator_command(self, tmp_path):
         report = str(tmp_path / "c.json")
         code = main(["commutator", "--alpha", "0.75", "--n", "8192", "--L", "800",
@@ -284,6 +289,19 @@ class TestOtherCommands:
         code = main(["iq-scaling", "--alpha", "0.75", "--q", "4.0", "--thetas", "1",
                      "--n", "2048", "--L", "100", "--report", report])
         assert code == 0
+        assert json.load(open(report))["n"] == 2048
+
+    def test_iq_scaling_refines_readme_command(self, tmp_path):
+        # at the default grid the q = 25 minimizer is unresolved; the check
+        # refines n to 16384 at L = 200 and passes there
+        report = str(tmp_path / "iq.json")
+        code = main(["iq-scaling", "--alpha", "0.75", "--q", "12.5", "--thetas", "2",
+                     "--report", report])
+        assert code == 0
+        payload = json.load(open(report))
+        assert payload["n"] == 16384
+        assert payload["config"]["n"] == 4096
+        assert all(row["pass"] for row in payload["checks"])
 
 
 class TestSweep:

@@ -337,6 +337,23 @@ class TestMinimizeIq:
             with pytest.raises(ValueError):
                 minimize_iq(1.0, alpha, grid)
 
+    @pytest.mark.parametrize("q", [2.0, 4.0, 8.0, 12.5])
+    def test_desk_grid_converges_in_few_iterations(self, grid_desk, q):
+        # the preconditioned step does not scale with max |xi|^alpha; the
+        # explicit step needed 1,320 (q = 12.5) to 5,230 (q = 4) iterations
+        # and did not converge at q = 2 within 20,000
+        res = minimize_iq(q, 0.75, grid_desk)
+        assert res.converged and res.I_q < 0.0
+        assert res.iterations <= 400
+
+    def test_two_transforms_per_iteration(self, grid_desk, monkeypatch):
+        # one rfft of the seed, an rfft of u^2/2 and an irfft of the update
+        # per iteration (the last iteration stops after its rfft) and one rfft
+        # of the final energy
+        calls = spy_transforms(monkeypatch)
+        res = minimize_iq(4.0, 0.75, grid_desk)
+        assert len(calls) <= 2 * res.iterations + 2
+
 
 class TestDilateField:
     def test_gaussian_transformation_laws(self):

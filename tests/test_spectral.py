@@ -21,6 +21,7 @@ from fracsol import (
     quad_form,
     resolvent,
     shift_field,
+    spectral_tail,
 )
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fracsol"
@@ -258,6 +259,25 @@ class TestAlgebraicProperties:
         assert abs(quad_form(half, g, 1.0) - spectral) < 1e-12 * spectral
         full = g.dx / g.n * np.sum((1.0 + np.abs(two_sided_xi(g)) ** 0.7) * np.abs(uhat) ** 2)
         assert abs(quad_form(half, g, 1.0 + g.xi_r**0.7) - full) < 1e-12 * full
+
+    def test_two_spectrum_parseval(self, rng):
+        # int (m(D)u) v over the two one-sided spectra, against the samples
+        g = make_grid(512, 30.0)
+        u = band_limited(g, rng, 100) + mean_and_nyquist(g)
+        v = band_limited(g, rng, 100) + mean_and_nyquist(g) * 0.5
+        weight = 1.0 / (1.0 + g.xi_r**0.7)
+        mv = apply_multiplier(v, lambda xi: 1.0 / (1.0 + np.abs(xi) ** 0.7))
+        physical = g.dx * np.sum(u.values * mv.values)
+        form = quad_form(np.fft.rfft(u.values), g, weight, np.fft.rfft(v.values))
+        assert abs(form - physical) < 1e-12 * g.dx * np.sum(np.abs(u.values * mv.values))
+
+    def test_spectral_tail(self):
+        g = make_grid(1024, 50.0)
+        wide = field_from_values(g, np.exp(-g.x**2))
+        narrow = field_from_values(g, np.exp(-(g.x / 0.05) ** 2))
+        assert spectral_tail(wide) < 1e-12
+        assert spectral_tail(narrow) > 1e-1
+        assert spectral_tail(field_from_values(g, np.zeros(g.n))) == 0.0
 
     def test_linearity(self, rng):
         g = make_grid(128, 8.0)

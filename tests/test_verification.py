@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fracsol import (
+    ConvergenceError,
     DispersionSymbol,
     ModelSpec,
     field_from_values,
@@ -180,22 +181,44 @@ class TestCommutatorDecay:
 class TestIqScaling:
     def test_theta_one_is_exact(self):
         grid = make_grid(2048, 100.0)
-        reports = iq_scaling_check(0.75, 4.0, [1.0], grid, tolerance=1e-10,
-                                   mass_law_tolerance=1e-8,
-                                   energy_law_tolerance=1e-2)
-        ratio = next(r for r in reports if r.name.startswith("iq_scaling"))
+        result = iq_scaling_check(0.75, 4.0, [1.0], grid, tolerance=1e-10,
+                                  mass_law_tolerance=1e-8,
+                                  energy_law_tolerance=1e-2)
+        ratio = next(r for r in result.checks if r.name.startswith("iq_scaling"))
         assert ratio.passed
 
     def test_plumbing_at_desk_scale(self):
         grid = make_grid(4096, 200.0)
-        reports = iq_scaling_check(0.75, 4.0, [2.0], grid, tolerance=5e-2,
-                                   mass_law_tolerance=5e-4,
-                                   energy_law_tolerance=5e-2)
-        assert all(r.passed for r in reports)
+        result = iq_scaling_check(0.75, 4.0, [2.0], grid, tolerance=5e-2,
+                                  mass_law_tolerance=5e-4,
+                                  energy_law_tolerance=5e-2)
+        assert all(r.passed for r in result.checks)
+        # resolved as given: no refinement
+        assert result.n == 4096 and result.tail <= 1e-4
 
     def test_rejects_alpha_range(self, grid_desk):
         with pytest.raises(ValueError):
             iq_scaling_check(1.2, 1.0, [2.0], grid_desk)
+
+    def test_refines_until_resolved(self):
+        # the q = 25 minimizer is narrower by 2^(1/(2a-1)) = 4: its top modes
+        # carry 11% of the peak at n = 4096 and 3.3e-5 at 16384 (L = 200)
+        result = iq_scaling_check(0.75, 12.5, [2.0], make_grid(4096, 200.0))
+        assert result.n == 16384
+        assert result.tail <= 1e-4
+        assert all(r.passed for r in result.checks)
+
+    def test_refines_unresolved_base_for_theta_below_one(self):
+        # theta = 1/2 widens both fields the base is compared with, so only
+        # the q = 25 base itself shows the 11% tail at n = 4096 (L = 200)
+        result = iq_scaling_check(0.75, 25.0, [0.5], make_grid(4096, 200.0))
+        assert result.n == 16384
+        assert result.tail <= 1e-4
+        assert all(r.passed for r in result.checks)
+
+    def test_gives_up_past_sixteen_times_n(self):
+        with pytest.raises(ConvergenceError, match=r"spectral tail share .* n = 4096"):
+            iq_scaling_check(0.75, 12.5, [2.0], make_grid(256, 200.0))
 
 
 class TestGNScan:
