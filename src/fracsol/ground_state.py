@@ -56,6 +56,8 @@ GFKDV = "gfkdv"
 ZERO_COLLAPSE = 1e-8
 DILATE_TAPER = 0.1   # outer fraction of a dilated support rolled off to zero
 STEP = 0.9           # step length of the preconditioned I_q flow
+MIX_DEPTH = 3        # Anderson depth m: a Petviashvili mix combines the last m + 1 sweeps
+MIX_COND = 1e12      # condition bound of the normalized Gram matrix of a mix
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,24 @@ def linear_symbol(model: ModelSpec, c: float, xi: np.ndarray) -> np.ndarray:
     return c + model.symbol(xi)
 
 
-def _residual(lin: np.ndarray, p: int, uhat: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _nonlinearity(u: np.ndarray, p: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """u^{p+1}/(p+1), written into out when given."""
+    out = np.multiply(u, u, out=out)
+    for _ in range(p - 1):
+        out *= u
+    out /= p + 1
+    return out
+
+
+def _residual(lin: np.ndarray, p: int, uhat: np.ndarray, u: np.ndarray,
+              spec: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None,
+              nl: Optional[np.ndarray] = None) -> np.ndarray:
     """Profile-equation residual lin(D)u - u^{p+1}/(p+1) of the samples u,
-    given their spectrum uhat = rfft(u)."""
-    return np.fft.irfft(lin * uhat, n=u.size) - u ** (p + 1) / (p + 1)
+    given their spectrum uhat = rfft(u); spec, out and nl are optional work
+    buffers for lin*uhat, the result and the nonlinearity."""
+    out = np.fft.irfft(np.multiply(lin, uhat, out=spec), n=u.size, out=out)
+    out -= _nonlinearity(u, p, out=nl)
+    return out
 
 
 def profile_residual(model: ModelSpec, c: float, u: RealField) -> np.ndarray:
@@ -178,6 +194,22 @@ def default_seed(model: ModelSpec, c: float, grid: Grid1D) -> RealField:
     return field_from_values(grid, vals)
 
 
+def _mix_weights(gram: np.ndarray, hist: list) -> np.ndarray:
+    """Weights a with sum 1 that minimize |sum_j a_j F_j| over the ring slots
+    in hist, given the Gram matrix of the residuals F_j.  While the Gram
+    matrix normalized to unit diagonal has condition number above MIX_COND,
+    the oldest slot is dropped from hist (in place)."""
+    while len(hist) > 1:
+        h = gram[np.ix_(hist, hist)]
+        d = np.sqrt(np.diag(h))
+        hn = h / np.outer(d, d)
+        if np.linalg.cond(hn) < MIX_COND:
+            y = np.linalg.solve(hn, 1.0 / d) / d
+            return y / y.sum()
+        del hist[0]
+    return np.ones(1)
+
+
 def petviashvili(
     model: ModelSpec,
     c: float,
@@ -187,19 +219,35 @@ def petviashvili(
     gamma: Optional[float] = None,
     seed_profile: Optional[RealField] = None,
 ) -> SolitaryWave:
-    """Compute a solitary-wave profile by the stabilized fixed-point iteration.
+    """Compute a solitary-wave profile by the stabilized fixed-point iteration,
+    accelerated by Anderson mixing.
 
-    Each sweep applies Q <- S^gamma (c + p(D))^{-1} [Q^{p+1}/(p+1)] with the
-    normalization S = <Q, (c+p(D))Q> / <Q, Q^{p+1}/(p+1)> and the contraction
-    exponent gamma = (p+1)/p.  Converged means both the successive-iterate
-    sup change is below tol and the equation residual is below 10*tol;
-    stagnation of the iterates alone can mask non-solutions.
+    The Petviashvili map is G(Q) = S^gamma (c + p(D))^{-1} [Q^{p+1}/(p+1)]
+    with the normalization S = <Q, (c+p(D))Q> / <Q, Q^{p+1}/(p+1)> and the
+    contraction exponent gamma = (p+1)/p.  Converged means both the
+    successive-iterate sup change is below tol and the equation residual is
+    below 10*tol; stagnation of the iterates alone can mask non-solutions.
+
+    Anderson (Pulay/DIIS) mixing (Walker & Ni, SIAM J. Numer. Anal. 49,
+    2011) keeps the outputs G_j = G(Q_j) and residuals F_j = G_j - Q_j of the
+    last MIX_DEPTH + 1 sweeps and takes the next iterate Q = sum_j a_j G_j,
+    with the weights sum_j a_j = 1 that minimize |sum_j a_j F_j|.  The norm
+    is the l^2 norm of the half spectrum of (c + p(D)) F, the residual
+    S^gamma Q^{p+1}/(p+1) - (c + p(D)) Q of the profile equation, which the
+    stopping test also bounds.  Each sweep adds one row to the cached Gram
+    matrix of the F_j.  The history restarts from the current sweep whenever
+    |F_k| > |F_{k-1}|, and its oldest entries are dropped while the Gram
+    matrix is ill-conditioned (MIX_COND); a sweep with a history of one is
+    the plain Petviashvili step.  A mix of even iterates is even.
 
     The iterate is carried in Fourier space as well: Q_hat = rfft(Q) is
     computed once from the seed, the numerator of S is the Parseval sum over
-    Q_hat, and the update is formed as a spectrum.  So a sweep transforms
-    twice, rfft of the nonlinearity and irfft of the new spectrum; the
-    residual check reuses Q_hat and adds one irfft.
+    Q_hat, and G_j, F_j and the mix are spectra.  So a sweep transforms
+    twice, rfft of the nonlinearity and irfft of the mixed spectrum; the
+    residual check reuses Q_hat and adds one irfft.  The sweeps run in
+    preallocated buffers: one sample array, Q_hat and a ring of
+    2 (MIX_DEPTH + 1) spectra.  The nonlinearity, the irfft output, the sup
+    change and the residual check use the ring slots outside the history.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -212,39 +260,51 @@ def petviashvili(
     if gamma is None:
         gamma = (p + 1) / p
     lin = linear_symbol(model, c, grid.xi_r)  # also validates c for the chosen form
-    inv = 1.0 / lin
+    depth = MIX_DEPTH + 1
 
-    q = (seed_profile.values if seed_profile is not None else default_seed(model, c, grid).values).copy()
+    n = grid.n
+    # the read-only seed is the first iterate; every later one is copied into q_buf
+    q = (seed_profile if seed_profile is not None else default_seed(model, c, grid)).values
+    q_buf = np.empty(n)
     qhat = np.fft.rfft(q)
-    delta_prev = None
+    ring = np.zeros((2, depth, qhat.size), dtype=complex)
+    G, F = ring
+    flat = ring.view(np.float64)  # real views: sample buffers, Re <F_i, F_j> and the mix
+    gram = np.zeros((depth, depth))
+    hist = []  # ring slots of the mixing history, oldest first
     for n_iter in range(1, max_iter + 1):
-        nl = q ** (p + 1) / (p + 1)
-        denom = np.sum(q * nl)
+        k, k_next = (n_iter - 1) % depth, n_iter % depth
+        if hist and hist[0] == k:
+            del hist[0]
+        # slot k is free until its rfft: F[k] holds the nonlinearity, G[k]
+        # the work space of the Parseval sum
+        nl = _nonlinearity(q, p, out=flat[1, k, :n])
+        denom = float(np.dot(q, nl))
         if denom == 0.0 or not np.isfinite(denom):
             raise NumericalError("Petviashvili normalization degenerated")
-        s = quad_form(qhat, grid, lin) / (grid.dx * denom)
-        qhat_new = s**gamma * inv * np.fft.rfft(nl)
-        q_new = np.fft.irfft(qhat_new, n=grid.n)
-        delta = q_new - q
-        change = float(np.max(np.abs(delta)))
-        q = q_new
-        # Aitken extrapolation along the dominant (slow, low-frequency)
-        # contraction mode; the fixed point is unchanged.  The step is linear
-        # in the iterate, so the spectrum moves with it.
-        if delta_prev is not None and n_iter % 8 == 0:
-            num = float(np.dot(delta, delta_prev))
-            den = float(np.dot(delta_prev, delta_prev))
-            rho = num / den if den > 0 else 0.0
-            if 0.2 < rho < 0.995:
-                r = rho / (1.0 - rho)
-                cand = q + delta * r
-                if np.all(np.isfinite(cand)) and np.max(np.abs(cand)) < 1e8:
-                    q = cand
-                    qhat_new += r * (qhat_new - qhat)
-                    delta = None
-        qhat = qhat_new
-        delta_prev = delta
-        sup = float(np.max(np.abs(q)))
+        s = quad_form(qhat, grid, lin, work=flat[0, k]) / (grid.dx * denom)
+        np.fft.rfft(nl, out=G[k])
+        G[k] *= s**gamma
+        # F holds (c + p(D)) F_k, so the Gram matrix is in the equation-residual norm
+        np.subtract(G[k], np.multiply(lin, qhat, out=F[k]), out=F[k])
+        G[k] /= lin
+        np.dot(flat[1], flat[1, k], out=gram[k])
+        gram[:, k] = gram[k]
+        if hist and not 0.0 < gram[k, k] <= gram[hist[-1], hist[-1]]:
+            hist = []
+        hist.append(k)
+        a = _mix_weights(gram, hist)
+        weights = np.zeros(depth)
+        weights[hist] = a
+        np.dot(weights, flat[0], out=qhat.view(np.float64))
+        # the next sweep's slot has left the history: G[k_next] takes the new
+        # samples and F[k_next] is work space until that sweep
+        q_new = np.fft.irfft(qhat, n=n, out=flat[0, k_next, :n])
+        work = flat[1, k_next, :n]
+        change = float(np.max(np.abs(np.subtract(q_new, q, out=work), out=work)))
+        np.copyto(q_buf, q_new)
+        q = q_buf
+        sup = float(np.max(np.abs(q, out=work)))
         if not np.isfinite(sup) or sup > 1e8:
             raise NumericalError(f"Petviashvili iteration diverged at step {n_iter}")
         if sup < ZERO_COLLAPSE:
@@ -252,13 +312,15 @@ def petviashvili(
                 f"no solitary wave found: profile collapsed to zero at step {n_iter}"
             )
         if change < tol:
-            if float(np.max(np.abs(_residual(lin, p, qhat, q)))) < 10.0 * tol:
+            r = _residual(lin, p, qhat, q, spec=F[k_next], out=q_new, nl=work)
+            if float(np.max(np.abs(r, out=r))) < 10.0 * tol:
                 break
     else:
         raise ConvergenceError(
             f"Petviashvili did not converge within {max_iter} iterations "
             f"(last sup change {change:.3e})"
         )
+    del ring, G, F, flat, nl, q_new, work, r
 
     profile = field_from_values(grid, q)
     wave = solitary_from_profile(profile, c, model, iterations=n_iter)

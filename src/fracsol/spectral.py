@@ -231,16 +231,22 @@ def l2_norm(u: RealField) -> float:
 
 
 def quad_form(uhat: np.ndarray, grid: Grid1D, weight: np.ndarray | float,
-              vhat: np.ndarray | None = None) -> float:
+              vhat: np.ndarray | None = None, work: np.ndarray | None = None) -> float:
     """Parseval form of int (m(D)u) v dx from the one-sided spectra
     uhat = rfft(u) and vhat = rfft(v) (v = u when vhat is None), with
     weight = m(xi_r) for a real, even symbol m.
 
     Interior modes stand for the pair +-xi and count twice; the mean and
-    Nyquist modes count once.
+    Nyquist modes count once.  work, when given, is a float64 buffer of at
+    least 2 * uhat.size values that holds the products in place of
+    temporaries.
     """
     vhat = uhat if vhat is None else vhat
-    power = weight * (uhat.real * vhat.real + uhat.imag * vhat.imag)
+    m = uhat.size
+    work = np.empty(2 * m) if work is None else work
+    power = np.multiply(uhat.real, vhat.real, out=work[:m])
+    power += np.multiply(uhat.imag, vhat.imag, out=work[m:2 * m])
+    power *= weight
     return float(grid.dx / grid.n * (2.0 * np.sum(power) - power[0] - power[-1]))
 
 

@@ -50,8 +50,12 @@ def sample_interpolant(u, points):
 
 
 def solve_big(model, c, n, L, tol=1e-10):
-    """Petviashvili on an (n, L) grid through a chain of spectral refinements,
-    so each stage only polishes the previous one."""
+    """Petviashvili on an (n, L) grid through a chain of refinements by 4 in
+    n at fixed L, each seeded with the previous stage's profile upsampled by
+    zero-padding its spectrum.  The coarse stages do not resolve the core,
+    so a stage does not merely polish its seed: the seeds of the alpha = 0.75
+    (n 2^19) and 0.7 (n 2^20) chains at L = 25600 start at sup residual
+    0.12-1.36, and those of the acceptance chains at 1e-9 to 6.4."""
     stages = []
     size = n
     while size > 4096 and size > n // 64:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,10 +22,13 @@ from fracsol import (
     quad_form,
     rescale_solitary,
 )
+from fracsol import ground_state
 from fracsol.ground_state import (
     FBBM,
     FKDV,
     GFKDV,
+    MIX_DEPTH,
+    default_seed,
     paper_form,
     profile_residual,
     sample_interpolant_uniform,
@@ -136,13 +140,20 @@ class TestPetviashvili:
         wave = petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, grid_desk)
         assert len(calls) <= 2 * wave.iterations + 4
 
-    def test_aitken_step_keeps_spectrum_consistent(self, monkeypatch):
-        # a sweep is an rfft of N = Q^2/2 followed by the irfft of the update
-        # S^2 (1 + |D|^0.75)^{-1} N_hat, whose mean mode is S^2 N_hat(0).  S
-        # taken from the carried spectrum must match S of the samples on every
+    def test_mixing_keeps_spectrum_consistent(self, monkeypatch):
+        # a sweep is an rfft of N = Q^2/2 followed by the irfft of the mixed
+        # spectrum.  S taken from the carried spectrum (its Parseval numerator)
+        # must match S of the samples the previous irfft returned on every
         # sweep: the map absorbs a stale spectrum into one S, so the sweep
         # count and the final residual alone would not show it
         calls = spy_transforms(monkeypatch)
+        numerators = []
+
+        def spy_quad_form(*args, _original=ground_state.quad_form, **kwargs):
+            numerators.append(_original(*args, **kwargs))
+            return numerators[-1]
+
+        monkeypatch.setattr(ground_state, "quad_form", spy_quad_form)
         grid = make_grid(8192, 200.0)
         tol = 1e-12
         wave = petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, grid, tol=tol)
@@ -151,19 +162,58 @@ class TestPetviashvili:
                   for i in range(1, len(calls) - 1)
                   if calls[i][0] == "rfft" and calls[i + 1][0] == "irfft"]
         sweeps = sweeps[:-1]  # the last pair is the final residual diagnostics
-        assert len(sweeps) == wave.iterations
+        assert len(sweeps) == len(numerators) == wave.iterations
         lin = 1.0 + grid.xi_r**0.75
-        accepted = 0
-        for (_, _, _, q_prev), (nl, nl_hat, update, _) in zip(sweeps, sweeps[1:]):
-            # an Aitken step replaced the iterate the previous irfft returned
-            accepted += not np.array_equal(nl, q_prev**2 / 2)
-            q = np.sign(q_prev) * np.sqrt(2.0 * nl)
-            s_samples = quad_form(np.fft.rfft(q), grid, lin) / (grid.dx * np.sum(q * nl))
-            s_spectrum = np.sqrt(update[0].real / nl_hat[0].real)
+        mixed = 0
+        for (_, _, _, q_prev), (nl, nl_hat, update, _), numerator in zip(
+                sweeps, sweeps[1:], numerators[1:]):
+            np.testing.assert_array_equal(nl, q_prev**2 / 2)
+            denom = grid.dx * np.sum(q_prev * nl)
+            s_spectrum = numerator / denom
+            s_samples = quad_form(np.fft.rfft(q_prev), grid, lin) / denom
             assert abs(s_spectrum - s_samples) < 1e-12 * s_samples
-        assert accepted >= 1
+            # the plain step would hand S^2 N_hat / lin to the irfft
+            plain = s_spectrum**2 * nl_hat / lin
+            mixed += np.max(np.abs(update - plain)) > 1e-6 * np.max(np.abs(update))
+        assert mixed >= 1
         # recomputed from the final samples alone
         assert wave.residual_sup < 10.0 * tol
+
+    @pytest.mark.parametrize("c", [1.2, 1.4])
+    def test_whitham_profile_stays_centred(self, grid_desk, c):
+        # an extrapolation along the slow mode once translated these profiles
+        # off centre (odd part 3.08 and 3.49) and took 66 sweeps
+        model = ModelSpec(family=FKDV, symbol=DispersionSymbol.whitham())
+        wave = petviashvili(model, c, grid_desk)
+        v = wave.profile.values
+        assert np.max(np.abs(v - np.roll(v[::-1], 1))) <= 1e-12 * v.max()
+        assert wave.iterations <= 25
+
+    @pytest.mark.parametrize("model, c, sweeps", [
+        (ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, 52),
+        (ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived"), 2.0, 52),
+        (ModelSpec(family=GFKDV, symbol=POWER(1.5), p=2), 1.0, 25),
+    ], ids=["fkdv", "fbbm_derived", "gfkdv_p2"])
+    def test_desk_sweep_counts(self, grid_desk, model, c, sweeps):
+        # the counts of the unmixed iteration with extrapolation every 8 sweeps
+        assert petviashvili(model, c, grid_desk).iterations <= sweeps
+
+    def test_sweeps_run_in_preallocated_buffers(self):
+        # the sample buffer, Q_hat, lin and the ring of 2 (MIX_DEPTH + 1)
+        # spectra (each n float64, lin n/2) plus 2 arrays of slack; the
+        # unmixed iteration peaked at 10 arrays, the ring alone is 8
+        grid = make_grid(1 << 16, 3200.0)
+        model = ModelSpec(family=FKDV, symbol=POWER(0.75))
+        seed = default_seed(model, 1.0, grid)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            petviashvili(model, 1.0, grid, seed_profile=seed)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        arrays = 1 + 1 + 0.5 + 2 * (MIX_DEPTH + 1) + 2
+        assert peak <= arrays * 8 * grid.n
 
     def test_energy_supercritical_warns_and_violates_line_identity(self):
         # the periodic box still carries a wave at alpha < 1/3, but the line

@@ -10,6 +10,7 @@ from fracsol import (
     petviashvili,
     weinstein,
 )
+from fracsol import verification
 from fracsol.ground_state import FBBM, FKDV, GFKDV, solitary_from_profile
 from fracsol.verification import (
     commutator_decay,
@@ -215,6 +216,22 @@ class TestIqScaling:
         assert result.n == 16384
         assert result.tail <= 1e-4
         assert all(r.passed for r in result.checks)
+
+    @pytest.mark.parametrize("q, thetas", [(12.5, [2.0]), (25.0, [0.5])],
+                             ids=["theta_above_one", "theta_below_one"])
+    def test_unresolved_level_minimizes_only_its_narrowest_field(self, monkeypatch, q, thetas):
+        # the mass 25 minimizer is the narrowest field of both checks; its
+        # tail alone shows n = 4096 and 8192 unresolved (L = 200)
+        calls = []
+
+        def spy(mass, alpha, grid, *args, _original=verification.minimize_iq, **kwargs):
+            calls.append((mass, grid.n))
+            return _original(mass, alpha, grid, *args, **kwargs)
+
+        monkeypatch.setattr(verification, "minimize_iq", spy)
+        result = iq_scaling_check(0.75, q, thetas, make_grid(4096, 200.0))
+        assert result.n == 16384
+        assert calls == [(25.0, 4096), (25.0, 8192), (25.0, 16384), (12.5, 16384)]
 
     def test_gives_up_past_sixteen_times_n(self):
         with pytest.raises(ConvergenceError, match=r"spectral tail share .* n = 4096"):
