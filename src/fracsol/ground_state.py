@@ -4,7 +4,9 @@ Three routes to the same family of objects:
 
 * ``petviashvili``: fixed-point iteration with a power-normalized
   stabilizing factor for the profile equation ``p(D)Q + cQ = Q^{p+1}/(p+1)``
-  (and the integrated-BBM variant ``c D^alpha Q + (c-1) Q = Q^2/2``),
+  (and the integrated-BBM variant ``c D^alpha Q + (c-1) Q = Q^2/2``).  The
+  ground states are even, so it sweeps the even half-grid, samples 0..n/2,
+  with the real cosine transform of the spectral kernel,
 * ``rescale_solitary``: the exact velocity rescaling
   ``Q_c(x) = c^{1/p} Q(c^{1/alpha} x)`` of a pure-power profile, realized by
   evaluating the trigonometric interpolant,
@@ -31,6 +33,7 @@ from .spectral import (
     Grid1D,
     RealField,
     _chirp_z,
+    _even_rfft,
     field_from_values,
     make_grid,
     quad_form,
@@ -114,21 +117,17 @@ def _nonlinearity(u: np.ndarray, p: int, out: Optional[np.ndarray] = None) -> np
     return out
 
 
-def _residual(lin: np.ndarray, p: int, uhat: np.ndarray, u: np.ndarray,
-              spec: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None,
-              nl: Optional[np.ndarray] = None) -> np.ndarray:
-    """Profile-equation residual lin(D)u - u^{p+1}/(p+1) of the samples u,
-    given their spectrum uhat = rfft(u); spec, out and nl are optional work
-    buffers for lin*uhat, the result and the nonlinearity."""
-    out = np.fft.irfft(np.multiply(lin, uhat, out=spec), n=u.size, out=out)
-    out -= _nonlinearity(u, p, out=nl)
-    return out
-
-
 def profile_residual(model: ModelSpec, c: float, u: RealField) -> np.ndarray:
-    """Pointwise residual of the profile equation for u."""
+    """Pointwise residual lin(D)u - u^{p+1}/(p+1) of the profile equation."""
     lin = linear_symbol(model, c, u.grid.xi_r)
-    return _residual(lin, model.p, np.fft.rfft(u.values), u.values)
+    lin_u = np.fft.irfft(lin * np.fft.rfft(u.values), n=u.grid.n)
+    return lin_u - _nonlinearity(u.values, model.p)
+
+
+def _even_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a*b) over a full period of two even sequences given by their
+    samples 0..N: the end samples stand for themselves, the others for a pair."""
+    return float(2.0 * np.dot(a, b) - a[0] * b[0] - a[-1] * b[-1])
 
 
 @dataclass(frozen=True)
@@ -238,16 +237,25 @@ def petviashvili(
     matrix of the F_j.  The history restarts from the current sweep whenever
     |F_k| > |F_{k-1}|, and its oldest entries are dropped while the Gram
     matrix is ill-conditioned (MIX_COND); a sweep with a history of one is
-    the plain Petviashvili step.  A mix of even iterates is even.
+    the plain Petviashvili step.
 
-    The iterate is carried in Fourier space as well: Q_hat = rfft(Q) is
-    computed once from the seed, the numerator of S is the Parseval sum over
-    Q_hat, and G_j, F_j and the mix are spectra.  So a sweep transforms
-    twice, rfft of the nonlinearity and irfft of the mixed spectrum; the
-    residual check reuses Q_hat and adds one irfft.  The sweeps run in
-    preallocated buffers: one sample array, Q_hat and a ring of
-    2 (MIX_DEPTH + 1) spectra.  The nonlinearity, the irfft output, the sup
-    change and the residual check use the ring slots outside the history.
+    The symbol is even, so the map and the mix keep a profile even, and the
+    ground states are even (symmetric-decreasing; Frank & Lenzmann, Acta
+    Math. 210, 2013).  The iteration therefore runs on the even half-grid:
+    it keeps the even part of the seed on the samples 0..n/2 (x from -L to
+    0), and every sample array and every spectrum (real, see
+    spectral._even_rfft) has n/2 + 1 values; full-grid sums take the
+    even-sum weights.  The full profile is assembled once, at the end.
+
+    The iterate is carried in Fourier space as well: Q_hat is computed once
+    from the seed, the numerator of S is the Parseval sum over Q_hat, and
+    G_j, F_j and the mix are spectra.  So a sweep takes two even transforms,
+    of the nonlinearity and of the mixed spectrum; the residual check
+    reuses Q_hat and adds one, and its sup and l^2 norms are the reported
+    residuals.  The sweeps run in preallocated buffers: the samples, Q_hat,
+    the transform's work space and a ring of 2 (MIX_DEPTH + 1) spectra.  The
+    nonlinearity, the new samples, the sup change and the residual check use
+    the ring slots outside the history.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -263,32 +271,36 @@ def petviashvili(
     depth = MIX_DEPTH + 1
 
     n = grid.n
-    # the read-only seed is the first iterate; every later one is copied into q_buf
-    q = (seed_profile if seed_profile is not None else default_seed(model, c, grid)).values
-    q_buf = np.empty(n)
-    qhat = np.fft.rfft(q)
-    ring = np.zeros((2, depth, qhat.size), dtype=complex)
+    half = n // 2 + 1
+    seed = (seed_profile if seed_profile is not None else default_seed(model, c, grid)).values
+    # even part of the seed on samples 0..n/2: sample j pairs with n - j
+    q = np.empty(half)
+    q[0] = seed[0]
+    np.add(seed[1:half], seed[:half - 2:-1], out=q[1:])
+    q[1:] *= 0.5
+    work = np.empty(n + 2)
+    qhat = _even_rfft(q, np.empty(half), work)
+    ring = np.zeros((2, depth, half))
     G, F = ring
-    flat = ring.view(np.float64)  # real views: sample buffers, Re <F_i, F_j> and the mix
     gram = np.zeros((depth, depth))
     hist = []  # ring slots of the mixing history, oldest first
     for n_iter in range(1, max_iter + 1):
         k, k_next = (n_iter - 1) % depth, n_iter % depth
         if hist and hist[0] == k:
             del hist[0]
-        # slot k is free until its rfft: F[k] holds the nonlinearity, G[k]
-        # the work space of the Parseval sum
-        nl = _nonlinearity(q, p, out=flat[1, k, :n])
-        denom = float(np.dot(q, nl))
+        # slot k is free until its transform: F[k] holds the nonlinearity,
+        # G[k] the work space of the Parseval sum
+        nl = _nonlinearity(q, p, out=F[k])
+        denom = _even_dot(q, nl)
         if denom == 0.0 or not np.isfinite(denom):
             raise NumericalError("Petviashvili normalization degenerated")
-        s = quad_form(qhat, grid, lin, work=flat[0, k]) / (grid.dx * denom)
-        np.fft.rfft(nl, out=G[k])
+        s = quad_form(qhat, grid, lin, work=G[k]) / (grid.dx * denom)
+        _even_rfft(nl, G[k], work)
         G[k] *= s**gamma
         # F holds (c + p(D)) F_k, so the Gram matrix is in the equation-residual norm
         np.subtract(G[k], np.multiply(lin, qhat, out=F[k]), out=F[k])
         G[k] /= lin
-        np.dot(flat[1], flat[1, k], out=gram[k])
+        np.dot(F, F[k], out=gram[k])
         gram[:, k] = gram[k]
         if hist and not 0.0 < gram[k, k] <= gram[hist[-1], hist[-1]]:
             hist = []
@@ -296,15 +308,15 @@ def petviashvili(
         a = _mix_weights(gram, hist)
         weights = np.zeros(depth)
         weights[hist] = a
-        np.dot(weights, flat[0], out=qhat.view(np.float64))
+        np.dot(weights, G, out=qhat)
         # the next sweep's slot has left the history: G[k_next] takes the new
         # samples and F[k_next] is work space until that sweep
-        q_new = np.fft.irfft(qhat, n=n, out=flat[0, k_next, :n])
-        work = flat[1, k_next, :n]
-        change = float(np.max(np.abs(np.subtract(q_new, q, out=work), out=work)))
-        np.copyto(q_buf, q_new)
-        q = q_buf
-        sup = float(np.max(np.abs(q, out=work)))
+        q_new = _even_rfft(qhat, G[k_next], work)
+        q_new *= 1.0 / n
+        scratch = F[k_next]
+        change = float(np.max(np.abs(np.subtract(q_new, q, out=scratch), out=scratch)))
+        np.copyto(q, q_new)
+        sup = float(np.max(np.abs(q, out=scratch)))
         if not np.isfinite(sup) or sup > 1e8:
             raise NumericalError(f"Petviashvili iteration diverged at step {n_iter}")
         if sup < ZERO_COLLAPSE:
@@ -312,21 +324,33 @@ def petviashvili(
                 f"no solitary wave found: profile collapsed to zero at step {n_iter}"
             )
         if change < tol:
-            r = _residual(lin, p, qhat, q, spec=F[k_next], out=q_new, nl=work)
-            if float(np.max(np.abs(r, out=r))) < 10.0 * tol:
+            # the residual lin(D)Q - Q^{p+1}/(p+1) on the half-grid
+            r = _even_rfft(np.multiply(lin, qhat, out=scratch), q_new, work)
+            r *= 1.0 / n
+            r -= _nonlinearity(q, p, out=scratch)
+            residual_sup = float(np.max(np.abs(r, out=scratch)))
+            if residual_sup < 10.0 * tol:
                 break
     else:
         raise ConvergenceError(
             f"Petviashvili did not converge within {max_iter} iterations "
             f"(last sup change {change:.3e})"
         )
-    del ring, G, F, flat, nl, q_new, work, r
-
-    profile = field_from_values(grid, q)
-    wave = solitary_from_profile(profile, c, model, iterations=n_iter)
-    if wave.profile.values.max() <= 0:
+    residual_l2 = float(np.sqrt(grid.dx * _even_dot(r, r)))
+    if q.max() <= 0:
         raise NumericalError("converged profile has non-positive maximum")
-    return wave
+    del ring, G, F, nl, q_new, scratch, r, work  # free the sweep buffers before the profile
+    values = np.empty(n)
+    values[:half] = q
+    values[half:] = q[-2:0:-1]
+    return SolitaryWave(
+        profile=field_from_values(grid, values),
+        c=c,
+        model=model,
+        residual_sup=residual_sup,
+        residual_l2=residual_l2,
+        iterations=n_iter,
+    )
 
 
 # -- trigonometric resampling -------------------------------------------------

@@ -18,7 +18,12 @@ steppers) manipulates fields through Fourier multipliers on this box:
 * translation is the phase ``exp(1j*xi*y)``, exact for band-limited fields;
   the Nyquist mode moves with the real-even ``cos(xi_nyq*y)``,
 * the interpolant at uniformly spaced points is one chirp-z convolution
-  (``_chirp_z``) on the same rfft/irfft kernel.
+  (``_chirp_z``) on the same rfft/irfft kernel,
+* an even field, u(x) = u(-x), is fixed by its samples 0..n/2 (x from -L
+  to 0), and its rfft is real: the cosine transform (DCT-I) of those
+  n/2 + 1 samples.  ``_even_rfft`` takes it with one rfft of length n/2 and
+  one irfft of length n/4 of the same kernel, and it is its own inverse up
+  to the factor 1/n.
 
 Grids and fields are immutable after construction and safe to share between
 concurrently running solves.
@@ -27,6 +32,7 @@ concurrently running solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -237,15 +243,17 @@ def quad_form(uhat: np.ndarray, grid: Grid1D, weight: np.ndarray | float,
     weight = m(xi_r) for a real, even symbol m.
 
     Interior modes stand for the pair +-xi and count twice; the mean and
-    Nyquist modes count once.  work, when given, is a float64 buffer of at
-    least 2 * uhat.size values that holds the products in place of
-    temporaries.
+    Nyquist modes count once.  A real spectrum (of an even field, see
+    _even_rfft) has no imaginary products to add.  work, when given, is a
+    float64 buffer of at least 2 * uhat.size values (uhat.size for two real
+    spectra) that holds the products in place of temporaries.
     """
     vhat = uhat if vhat is None else vhat
     m = uhat.size
     work = np.empty(2 * m) if work is None else work
     power = np.multiply(uhat.real, vhat.real, out=work[:m])
-    power += np.multiply(uhat.imag, vhat.imag, out=work[m:2 * m])
+    if np.iscomplexobj(uhat) and np.iscomplexobj(vhat):
+        power += np.multiply(uhat.imag, vhat.imag, out=work[m:2 * m])
     power *= weight
     return float(grid.dx / grid.n * (2.0 * np.sum(power) - power[0] - power[-1]))
 
@@ -300,3 +308,48 @@ def _chirp_z(g: np.ndarray, count: int, theta: float) -> np.ndarray:
     conv = (np.fft.irfft(ar * br - ai * bi, size)
             + 1j * np.fft.irfft(ar * bi + ai * br, size))
     return w[:count] * conv[n - 1:n - 1 + count]
+
+
+@lru_cache(maxsize=16)
+def _quarter_twiddle(m: int) -> np.ndarray:
+    """exp(1j*pi*k/(2m)) for k = 0..m/2, read-only."""
+    t = np.exp(0.5j * np.pi / m * np.arange(m // 2 + 1))
+    t.setflags(write=False)
+    return t
+
+
+def _even_rfft(x: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """The rfft of the even sequence of length n = 2N whose samples 0..N are
+    x (N + 1 values), written into the float64 array out of N + 1 values.
+    The spectrum of an even sequence is real and even, so applying the
+    transform twice returns n * x.
+
+    The even outputs are the rfft of length N of e_j = x_j + x_{N-j}.  The
+    odd ones are the DCT-III d_0 + 2 sum_{0<j<N/2} d_j cos(pi j (2m+1)/N) of
+    d_j = x_j - x_{N-j}, taken by Makhoul's method (IEEE TASSP 28, 1980)
+    with one irfft of length N/2.  Both steps keep the accuracy of the rfft;
+    the cumulative-sum recurrence of the single-FFT cosine transform does
+    not.  N must be even.  work, when given, is a float64 buffer of at least
+    2N + 2 values that holds the intermediates in place of temporaries.
+    """
+    N = x.size - 1
+    m = N // 2
+    h = m // 2
+    work = np.empty(2 * N + 2) if work is None else work
+    spec = work[N:2 * N + 2].view(np.complex128)  # N/2 + 1 modes
+    e = np.add(x[:N], x[N:0:-1], out=work[:N])
+    np.fft.rfft(e, out=spec)
+    np.copyto(out[0::2], spec.real)
+    # the odd outputs z_j = out[2j+1], reordered as y_i = z_{2i} and
+    # y_{m-1-i} = z_{2i+1}, are the irfft of the half spectrum
+    # vhat_k = exp(1j*pi*k/(2m)) (d_k - 1j d_{m-k}), k <= m/2, with d_m = 0
+    d = np.subtract(x[:m], x[N:m:-1], out=work[:m])
+    vhat = work[m:2 * m + 2].view(np.complex128)  # m/2 + 1 modes
+    vhat.real = d[:h + 1]
+    vhat.imag[0] = 0.0
+    np.negative(d[m - 1:h - 1:-1], out=vhat.imag[1:])
+    vhat *= _quarter_twiddle(m)
+    y = np.fft.irfft(vhat, m, norm="forward", out=work[N + 2:N + 2 + m])
+    out[1::4] = y[:h]
+    out[3::4] = y[:h - 1:-1]
+    return out

@@ -22,7 +22,7 @@ from fracsol import (
     quad_form,
     rescale_solitary,
 )
-from fracsol import ground_state
+from fracsol import ground_state, spectral
 from fracsol.ground_state import (
     FBBM,
     FKDV,
@@ -87,8 +87,16 @@ class TestPetviashvili:
         assert vals.min() > -1e-9 * sup
 
     def test_residual_diagnostics_match_recomputation(self, q075_wave):
+        # the reported residuals come from the loop's last residual check on
+        # the carried spectrum; recomputing from the samples alone takes the
+        # spectrum afresh, so the two agree to roundoff, not bit for bit
+        tol = 1e-10  # petviashvili's default
         r = profile_residual(q075_wave.model, q075_wave.c, q075_wave.profile)
-        assert abs(np.max(np.abs(r)) - q075_wave.residual_sup) < 1e-15
+        recomputed = np.max(np.abs(r))
+        assert q075_wave.residual_sup < 10.0 * tol and recomputed < 10.0 * tol
+        assert abs(recomputed - q075_wave.residual_sup) <= 1e-13
+        l2 = np.sqrt(q075_wave.profile.grid.dx * np.sum(r**2))
+        assert abs(l2 - q075_wave.residual_l2) <= 1e-13
 
     def test_whitham_symbol_solve(self, grid_desk):
         model = ModelSpec(family=FKDV, symbol=DispersionSymbol.whitham())
@@ -134,49 +142,72 @@ class TestPetviashvili:
                          grid_desk, gamma=0.0, seed_profile=seed)
 
     def test_two_transforms_per_sweep(self, grid_desk, monkeypatch):
-        # one rfft of the seed, an rfft and an irfft per sweep, one irfft per
-        # residual check and one rfft/irfft pair of the final diagnostics
+        # a sweep takes two even transforms of the half-grid, each an rfft of
+        # n/2 points and an irfft of n/4: 1.5 n points where the full-grid
+        # rfft/irfft pair took 2 n.  Besides the sweeps, the seed and each
+        # residual check take one even transform
         calls = spy_transforms(monkeypatch)
+        transforms = []
+
+        def spy_even_rfft(x, out, work=None, _original=ground_state._even_rfft):
+            transforms.append(x.size)
+            return _original(x, out, work)
+
+        monkeypatch.setattr(ground_state, "_even_rfft", spy_even_rfft)
         wave = petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, grid_desk)
-        assert len(calls) <= 2 * wave.iterations + 4
+        monkeypatch.undo()
+        n = grid_desk.n
+        points = sum(max(a.size, out.size) for _, a, out in calls)
+        assert transforms == [n // 2 + 1] * len(transforms)
+        extra = len(transforms) - 2 * wave.iterations
+        assert 2 <= extra <= 3  # the seed and one or two residual checks
+        assert points <= 1.5 * n * wave.iterations + 0.75 * n * extra
+        assert len(calls) == 2 * len(transforms)
 
     def test_mixing_keeps_spectrum_consistent(self, monkeypatch):
-        # a sweep is an rfft of N = Q^2/2 followed by the irfft of the mixed
-        # spectrum.  S taken from the carried spectrum (its Parseval numerator)
-        # must match S of the samples the previous irfft returned on every
-        # sweep: the map absorbs a stale spectrum into one S, so the sweep
-        # count and the final residual alone would not show it
-        calls = spy_transforms(monkeypatch)
-        numerators = []
+        # a sweep transforms N = Q^2/2 and then the mixed spectrum, both on
+        # the even half-grid.  S taken from the carried real spectrum (its
+        # Parseval numerator) must match S of the half samples the previous
+        # sweep returned on every sweep, with the numerator recomputed from
+        # the full-grid rfft of their even extension: the map absorbs a
+        # stale spectrum into one S, so the sweep count and the final
+        # residual alone would not show it
+        events = []
 
         def spy_quad_form(*args, _original=ground_state.quad_form, **kwargs):
-            numerators.append(_original(*args, **kwargs))
-            return numerators[-1]
+            events.append(("numerator", _original(*args, **kwargs)))
+            return events[-1][1]
+
+        def spy_even_rfft(x, out, work=None, _original=ground_state._even_rfft):
+            events.append(("transform", x.copy(), _original(x, out, work).copy()))
+            return out
 
         monkeypatch.setattr(ground_state, "quad_form", spy_quad_form)
+        monkeypatch.setattr(ground_state, "_even_rfft", spy_even_rfft)
         grid = make_grid(8192, 200.0)
-        tol = 1e-12
+        n, tol = grid.n, 1e-12
         wave = petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, grid, tol=tol)
         monkeypatch.undo()
-        sweeps = [(calls[i][1], calls[i][2], calls[i + 1][1], calls[i + 1][2])
-                  for i in range(1, len(calls) - 1)
-                  if calls[i][0] == "rfft" and calls[i + 1][0] == "irfft"]
-        sweeps = sweeps[:-1]  # the last pair is the final residual diagnostics
-        assert len(sweeps) == len(numerators) == wave.iterations
+        # each sweep: its numerator, then the transforms of N and of the mix
+        starts = [i for i, e in enumerate(events) if e[0] == "numerator"]
+        assert len(starts) == wave.iterations
+        assert all(events[i + 1][0] == events[i + 2][0] == "transform" for i in starts)
+        sweeps = [(events[i][1], events[i + 1][1:], events[i + 2][1:]) for i in starts]
         lin = 1.0 + grid.xi_r**0.75
         mixed = 0
-        for (_, _, _, q_prev), (nl, nl_hat, update, _), numerator in zip(
-                sweeps, sweeps[1:], numerators[1:]):
+        for (_, _, (_, q_prev)), (numerator, (nl, nl_hat), (update, _)) in zip(
+                sweeps, sweeps[1:]):
+            q_prev = q_prev * (1.0 / n)
             np.testing.assert_array_equal(nl, q_prev**2 / 2)
-            denom = grid.dx * np.sum(q_prev * nl)
+            full = np.concatenate((q_prev, q_prev[-2:0:-1]))
+            denom = grid.dx * np.sum(full**3 / 2)
             s_spectrum = numerator / denom
-            s_samples = quad_form(np.fft.rfft(q_prev), grid, lin) / denom
+            s_samples = quad_form(np.fft.rfft(full), grid, lin) / denom
             assert abs(s_spectrum - s_samples) < 1e-12 * s_samples
-            # the plain step would hand S^2 N_hat / lin to the irfft
+            # the plain step would hand S^2 N_hat / lin to the transform
             plain = s_spectrum**2 * nl_hat / lin
             mixed += np.max(np.abs(update - plain)) > 1e-6 * np.max(np.abs(update))
         assert mixed >= 1
-        # recomputed from the final samples alone
         assert wave.residual_sup < 10.0 * tol
 
     @pytest.mark.parametrize("c", [1.2, 1.4])
@@ -186,8 +217,20 @@ class TestPetviashvili:
         model = ModelSpec(family=FKDV, symbol=DispersionSymbol.whitham())
         wave = petviashvili(model, c, grid_desk)
         v = wave.profile.values
-        assert np.max(np.abs(v - np.roll(v[::-1], 1))) <= 1e-12 * v.max()
+        assert np.array_equal(v, np.roll(v[::-1], 1))  # even by construction
         assert wave.iterations <= 25
+
+    def test_odd_part_of_seed_is_dropped(self, grid_desk):
+        # the iteration runs on the even half-grid and keeps the even part
+        # of its seed, so an odd perturbation leaves the profile unchanged
+        model = ModelSpec(family=FKDV, symbol=POWER(0.75))
+        seed = default_seed(model, 1.0, grid_desk)
+        x = grid_desk.x
+        odd = field_from_values(grid_desk, x * np.exp(-(x / 4.0) ** 2))
+        assert np.array_equal(odd.values[1:], -odd.values[1:][::-1])
+        even = petviashvili(model, 1.0, grid_desk, tol=1e-12, seed_profile=seed)
+        kicked = petviashvili(model, 1.0, grid_desk, tol=1e-12, seed_profile=seed + odd)
+        assert np.max(np.abs(kicked.profile.values - even.profile.values)) <= 1e-12
 
     @pytest.mark.parametrize("model, c, sweeps", [
         (ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, 52),
@@ -199,12 +242,15 @@ class TestPetviashvili:
         assert petviashvili(model, c, grid_desk).iterations <= sweeps
 
     def test_sweeps_run_in_preallocated_buffers(self):
-        # the sample buffer, Q_hat, lin and the ring of 2 (MIX_DEPTH + 1)
-        # spectra (each n float64, lin n/2) plus 2 arrays of slack; the
-        # unmixed iteration peaked at 10 arrays, the ring alone is 8
+        # on the half-grid: the samples, Q_hat and lin (n/2 float64 each),
+        # the ring of 2 (MIX_DEPTH + 1) real spectra (n/2 each), the even
+        # transform's work space (n) and its cached twiddles (n/4), plus a
+        # quarter array of slack.  Measured 6.77 arrays with the twiddles
+        # taken afresh; the full-grid iteration peaked at 10.8
         grid = make_grid(1 << 16, 3200.0)
         model = ModelSpec(family=FKDV, symbol=POWER(0.75))
         seed = default_seed(model, 1.0, grid)
+        spectral._quarter_twiddle.cache_clear()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -212,7 +258,7 @@ class TestPetviashvili:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        arrays = 1 + 1 + 0.5 + 2 * (MIX_DEPTH + 1) + 2
+        arrays = 3 * 0.5 + (MIX_DEPTH + 1) + 1 + 0.25 + 0.25
         assert peak <= arrays * 8 * grid.n
 
     def test_energy_supercritical_warns_and_violates_line_identity(self):
