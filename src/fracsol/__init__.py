@@ -36,6 +36,7 @@ from .ground_state import (
     petviashvili,
     rescale_solitary,
     solitary_from_profile,
+    solve_refined,
 )
 from .verification import (
     CommutatorDecay,

@@ -341,7 +341,7 @@ def cmd_kp_check(cfg, args) -> int:
 def cmd_sweep(cfg, args) -> int:
     if cfg["command"] not in SWEEPABLE:
         raise ValueError(f"sweep supports {SWEEPABLE}, got {cfg['command']!r}")
-    jobs = cfg["jobs"] or int(os.environ.get("FRACSOL_JOBS", "1"))
+    jobs = _or_default(cfg, "jobs", 1)
     lists = {}
     for spec in args.param or []:
         if "=" not in spec:
@@ -375,7 +375,7 @@ def cmd_sweep(cfg, args) -> int:
             entry.update(exit_code=1, error=type(exc).__name__, message=str(exc))
         return entry
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         index = list(pool.map(run_point, enumerate(points)))
     fio.dump_json({"command": cfg["command"], "points": index},
                   os.path.join(cfg["out"], "index.json"))

@@ -27,7 +27,7 @@ from .spectral import (
     field_from_values,
     quad_form,
 )
-from .verification import identity_suite
+from .verification import _random_low_modes, identity_suite
 
 __all__ = [
     "EvolutionTrace",
@@ -255,29 +255,25 @@ class StabilityReport(Report):
     verdict: str
 
 
-def make_perturbation(grid: Grid1D, kind: str, Q: SolitaryWave, delta: float,
-                      alpha: float, seed: int = 0) -> RealField:
-    """A perturbation of the requested kind, normalized so its energy norm is
-    delta times the energy norm of the profile."""
+def make_perturbation(Q: SolitaryWave, kind: str, delta: float, seed: int = 0) -> RealField:
+    """A perturbation of the requested kind on the grid of Q, normalized so its
+    energy norm (at the alpha of Q) is delta times that of the profile."""
+    grid = Q.profile.grid
     if kind == "gaussian":
         raw = field_from_values(grid, np.exp(-((grid.x / 4.0) ** 2)))
     elif kind == "dilation":
         raw = dilate_field(Q.profile, 1.05) - Q.profile
     elif kind == "random":
-        rng = np.random.default_rng(seed)
-        n_modes = max(2, grid.n // 16)
-        coef = np.zeros(grid.n // 2 + 1, dtype=complex)
-        coef[1 : n_modes + 1] = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-        vals = np.fft.irfft(coef, n=grid.n) * np.exp(-((grid.x / (grid.L / 4.0)) ** 2))
-        raw = field_from_values(grid, vals)
+        vals = _random_low_modes(np.random.default_rng(seed), grid, max(2, grid.n // 16))
+        raw = field_from_values(grid, vals * np.exp(-((grid.x / (grid.L / 4.0)) ** 2)))
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if delta == 0.0:
         return field_from_values(grid, np.zeros(grid.n))
-    norm = energy_norm(raw, alpha)
+    norm = energy_norm(raw, Q.alpha)
     if norm == 0.0:
         raise NumericalError("perturbation construction produced the zero field")
-    return raw * (delta * energy_norm(Q.profile, alpha) / norm)
+    return raw * (delta * energy_norm(Q.profile, Q.alpha) / norm)
 
 
 def stability_experiment(
@@ -314,7 +310,7 @@ def stability_experiment(
     if bad:
         raise NumericalError(f"profile failed the identity gate: {', '.join(bad)}")
 
-    pert = make_perturbation(grid, perturbation_kind, Q, delta, alpha, seed=seed)
+    pert = make_perturbation(Q, perturbation_kind, delta, seed=seed)
     u0 = Q.profile + pert
     trace = evolve(model, u0, horizon, dt, record_every=max(1, int(round(0.25 / dt))),
                    track_orbit=Q)

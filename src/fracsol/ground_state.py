@@ -6,7 +6,8 @@ Three routes to the same family of objects:
   stabilizing factor for the profile equation ``p(D)Q + cQ = Q^{p+1}/(p+1)``
   (and the integrated-BBM variant ``c D^alpha Q + (c-1) Q = Q^2/2``).  The
   ground states are even, so it sweeps the even half-grid, samples 0..n/2,
-  with the real cosine transform of the spectral kernel,
+  with the real cosine transform of the spectral kernel; ``solve_refined``
+  chains it from coarse to fine grids to reach large boxes,
 * ``rescale_solitary``: the exact velocity rescaling
   ``Q_c(x) = c^{1/p} Q(c^{1/alpha} x)`` of a pure-power profile, realized by
   evaluating the trigonometric interpolant,
@@ -44,6 +45,7 @@ __all__ = [
     "SolitaryWave",
     "MinimizerResult",
     "petviashvili",
+    "solve_refined",
     "rescale_solitary",
     "paper_form",
     "cstar",
@@ -393,6 +395,26 @@ def upsample_field(u: RealField, n_new: int) -> RealField:
     padded[uhat.size - 1] *= 0.5  # split the Nyquist mode symmetrically
     vals = np.fft.irfft(padded, n=n_new) * (n_new / grid.n)
     return field_from_values(fine, vals)
+
+
+def solve_refined(model: ModelSpec, c: float, n: int, L: float,
+                  tol: float = 1e-10) -> SolitaryWave:
+    """Petviashvili on the (n, L) grid, seeded through stages of
+    max(4096, n // 64) points times powers of 4 below n, each solved to 1e-9
+    (at most 2000 sweeps) from its predecessor's upsampled profile; the final
+    solve runs to tol (at most 500 sweeps).  The coarse stages do not resolve
+    the core, so the seeds of the alpha = 0.75 (n 2^19) and 0.7 (n 2^20)
+    chains at L = 25600 start at sup residual 0.12-1.36."""
+    wave = None
+    size = max(4096, n // 64)
+    while size < n:
+        seed = None if wave is None else upsample_field(wave.profile, size)
+        wave = petviashvili(model, c, make_grid(size, L), tol=1e-9, max_iter=2000,
+                            seed_profile=seed)
+        size *= 4
+    seed = None if wave is None else upsample_field(wave.profile, n)
+    return petviashvili(model, c, make_grid(n, L), tol=tol, max_iter=500,
+                        seed_profile=seed)
 
 
 def dilate_field(u: RealField, lam: float, amplitude: float = 1.0) -> RealField:

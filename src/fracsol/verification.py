@@ -319,6 +319,14 @@ def gn_scan(Q: SolitaryWave, battery: Sequence[RealField], alpha: float,
     )
 
 
+def _random_low_modes(rng, grid: Grid1D, n_modes: int) -> np.ndarray:
+    """Samples of the irfft of standard-normal complex coefficients on modes
+    1..n_modes, the real parts drawn before the imaginary parts."""
+    coef = np.zeros(grid.n // 2 + 1, dtype=complex)
+    coef[1 : n_modes + 1] = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+    return np.fft.irfft(coef, n=grid.n)
+
+
 def make_scan_battery(grid: Grid1D, seed: int, count: int = 20) -> list[RealField]:
     """Deterministic battery of Gaussians and random fields on the lowest
     tenth of the modes."""
@@ -330,11 +338,7 @@ def make_scan_battery(grid: Grid1D, seed: int, count: int = 20) -> list[RealFiel
     n_random = count - len(fields)
     n_modes = max(2, int(0.1 * grid.n / 2))
     for _ in range(n_random):
-        coef = np.zeros(grid.n // 2 + 1, dtype=complex)
-        re = rng.standard_normal(n_modes)
-        im = rng.standard_normal(n_modes)
-        coef[1 : n_modes + 1] = re + 1j * im
-        vals = np.fft.irfft(coef, n=grid.n)
+        vals = _random_low_modes(rng, grid, n_modes)
         vals /= max(np.max(np.abs(vals)), 1e-30)
         # localize so the field represents a line function
         vals *= np.exp(-((grid.x / (grid.L / 4.0)) ** 2))

@@ -318,13 +318,15 @@ class TestSweep:
             assert os.path.exists(os.path.join(entry["dir"], "report.json"))
             assert os.path.exists(os.path.join(entry["dir"], "profile.csv"))
 
-    def test_env_jobs_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRACSOL_JOBS", "2")
+    def test_negative_jobs_exit_2(self, tmp_path, capsys):
+        # 0 selects one worker; a negative count is a usage error, not one worker
         out = str(tmp_path / "sweep2")
         code = main(["sweep", "--command", "ground-state", "--out", out,
-                     "--param", "alpha=0.8", "--param", "n=4096",
+                     "--jobs", "-1", "--param", "alpha=0.8", "--param", "n=4096",
                      "--param", "L=200"])
-        assert code == 0
+        assert code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "index.json"))
 
     def test_sweep_requires_params(self, tmp_path):
         assert main(["sweep", "--command", "ground-state",

@@ -224,21 +224,21 @@ class TestOrbitalDistance:
 class TestPerturbations:
     @pytest.mark.parametrize("kind", ["gaussian", "dilation", "random"])
     def test_normalization(self, wave8, kind):
-        pert = make_perturbation(wave8.profile.grid, kind, wave8, 0.01, 0.75, seed=3)
+        pert = make_perturbation(wave8, kind, 0.01, seed=3)
         target = 0.01 * energy_norm(wave8.profile, 0.75)
         assert abs(energy_norm(pert, 0.75) - target) < 1e-12 * target
 
     def test_zero_delta(self, wave8):
-        pert = make_perturbation(wave8.profile.grid, "gaussian", wave8, 0.0, 0.75)
+        pert = make_perturbation(wave8, "gaussian", 0.0)
         assert np.all(pert.values == 0.0)
 
     def test_unknown_kind(self, wave8):
         with pytest.raises(ValueError):
-            make_perturbation(wave8.profile.grid, "sawtooth", wave8, 0.01, 0.75)
+            make_perturbation(wave8, "sawtooth", 0.01)
 
     def test_random_kind_is_seed_deterministic(self, wave8):
-        a = make_perturbation(wave8.profile.grid, "random", wave8, 0.01, 0.75, seed=5)
-        b = make_perturbation(wave8.profile.grid, "random", wave8, 0.01, 0.75, seed=5)
+        a = make_perturbation(wave8, "random", 0.01, seed=5)
+        b = make_perturbation(wave8, "random", 0.01, seed=5)
         np.testing.assert_array_equal(a.values, b.values)
 
 

@@ -1,5 +1,7 @@
 import tracemalloc
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -272,6 +274,59 @@ class TestPetviashvili:
         g = grid.dx / grid.n * np.sum(np.abs(two_sided_xi(grid)) ** 0.3 * np.abs(uhat) ** 2)
         m = grid.dx * np.sum(wave.profile.values**2)
         assert abs((3 * 0.3 - 1) * g - m) / m > 0.5
+
+
+STAGED_SCHEDULES = {  # n -> (n, tol, max_iter) of each petviashvili call
+    1024: [(1024, 1e-10, 500)],
+    4096: [(4096, 1e-10, 500)],
+    8192: [(4096, 1e-9, 2000), (8192, 1e-10, 500)],
+    32768: [(4096, 1e-9, 2000), (16384, 1e-9, 2000), (32768, 1e-10, 500)],
+    1 << 17: [(4096, 1e-9, 2000), (16384, 1e-9, 2000), (65536, 1e-9, 2000),
+              (1 << 17, 1e-10, 500)],
+    1 << 19: [(8192, 1e-9, 2000), (32768, 1e-9, 2000), (1 << 17, 1e-9, 2000),
+              (1 << 19, 1e-10, 500)],
+    1 << 20: [(16384, 1e-9, 2000), (65536, 1e-9, 2000), (1 << 18, 1e-9, 2000),
+              (1 << 20, 1e-10, 500)],
+    1 << 22: [(65536, 1e-9, 2000), (1 << 18, 1e-9, 2000), (1 << 20, 1e-9, 2000),
+              (1 << 22, 1e-10, 500)],
+}
+
+
+def recorded_schedule(monkeypatch, n):
+    """The (n, tol, max_iter) of each petviashvili call of solve_refined(n),
+    with petviashvili and upsample_field replaced by recorders, so no solve
+    runs.  Also checks that each stage is seeded by the previous stage's
+    profile upsampled to its own size."""
+    calls = []
+
+    def fake_petviashvili(model, c, grid, tol, max_iter, seed_profile):
+        expected = None if not calls else ("upsampled", ("profile", calls[-1][0]), grid.n)
+        assert seed_profile == expected
+        calls.append((grid.n, tol, max_iter))
+        return SimpleNamespace(profile=("profile", grid.n))
+
+    monkeypatch.setattr(ground_state, "petviashvili", fake_petviashvili)
+    monkeypatch.setattr(ground_state, "upsample_field",
+                        lambda u, n_new: ("upsampled", u, n_new))
+    model = ModelSpec(family=FKDV, symbol=POWER(0.75))
+    ground_state.solve_refined(model, 1.0, n, 25600.0)
+    return calls
+
+
+class TestSolveRefined:
+    @pytest.mark.parametrize("n", sorted(STAGED_SCHEDULES))
+    def test_schedule(self, monkeypatch, n):
+        assert recorded_schedule(monkeypatch, n) == STAGED_SCHEDULES[n]
+
+    def test_bench_chains_measure_the_library_schedule(self, monkeypatch):
+        # the refine_chain workload spells out its own stage list, which must
+        # stay the library's; exec of the source leaves no bytecode in bench/
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        workloads = {"__name__": "workloads"}
+        exec(compile(path.read_text(), str(path), "exec"), workloads)
+        for _, n, _ in workloads["CHAINS"]:
+            library = [size for size, _, _ in recorded_schedule(monkeypatch, n)]
+            assert workloads["solve_stages"](n) + [n] == library
 
 
 class TestInterpolant:
