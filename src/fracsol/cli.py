@@ -188,7 +188,7 @@ def cmd_verify(cfg, args) -> int:
     spread_ok = spread < cfg["spread_tol"]
 
     battery = make_scan_battery(grid, seed=cfg["seed"]) + [w.profile for w in family]
-    scan = gn_scan(wave, battery, alpha, slack=cfg["gn_slack"])
+    scan = gn_scan(wave, battery, slack=cfg["gn_slack"])
 
     payload = {
         "identities": [r.to_dict() for r in reports],
@@ -214,8 +214,8 @@ def cmd_evolve(cfg, args) -> int:
     grid = wave.profile.grid
     dt = _or_default(cfg, "dt", 0.1 * grid.dx)
     record = _or_default(cfg, "record_every", max(1, int(round(0.25 / dt))))
-    trace = evolve(wave.model, wave.profile, cfg["T"], dt, dealias=cfg["dealias"],
-                   record_every=record, track_orbit=wave if cfg["track"] else None)
+    trace = evolve(wave.model, wave.profile, cfg["T"], dt, record_every=record,
+                   track_orbit=wave if cfg["track"] else None)
     if cfg["out"]:
         fio.save_trace(trace, cfg["out"])
     payload = {
@@ -234,11 +234,10 @@ def cmd_evolve(cfg, args) -> int:
 
 
 def cmd_stability(cfg, args) -> int:
-    model = _model(cfg)
-    grid = make_grid(cfg["n"], cfg["L"])
     dt = _or_default(cfg, "dt", 2.0**-9)
+    wave = petviashvili(_model(cfg), cfg["c"], make_grid(cfg["n"], cfg["L"]))
     report, trace = stability_experiment(
-        model, cfg["c"], cfg["delta"], cfg["perturb"], cfg["T"], dt, grid,
+        wave, cfg["delta"], cfg["perturb"], cfg["T"], dt,
         seed=cfg["seed"], K=cfg["K"], gate_tolerance=cfg["gate_tol"],
     )
     if cfg["out"]:
@@ -408,8 +407,7 @@ COMMANDS = {
         profile="", identity_tol=DESK_IDENTITY_TOL, spread_tol=1e-3,
         gn_slack=DESK_IDENTITY_TOL, seed=0, report="")),
     "evolve": (cmd_evolve, "time integration of a stored profile", dict(
-        profile="", T=20.0, dt=0.0, record_every=0, track=True, dealias=True,
-        out="", report="")),
+        profile="", T=20.0, dt=0.0, record_every=0, track=True, out="", report="")),
     "stability": (cmd_stability, "orbital-stability experiment", dict(
         **MODEL, delta=0.01, perturb="gaussian", T=50.0, dt=0.0, n=8192, L=200.0,
         seed=0, K=5.0, gate_tol=DESK_IDENTITY_TOL, out="", report="")),

@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import NumericalError
 from .functionals import Report, bbm_hamiltonian, bbm_quadratic, energy_fkdv, mass
-from .ground_state import FBBM, ModelSpec, SolitaryWave, dilate_field, petviashvili
+from .ground_state import FBBM, ModelSpec, SolitaryWave, dilate_field
 from .spectral import (
-    Grid1D,
     RealField,
+    _same_grid,
     _shift_phase,
     energy_norm,
     field_from_values,
@@ -88,13 +88,13 @@ def evolve(
     u0: RealField,
     T: float,
     dt: float,
-    dealias: bool = True,
     record_every: int = 1,
     track_orbit: Optional[SolitaryWave] = None,
 ) -> EvolutionTrace:
     """Advance u0 for n = round(T/dt) steps, recording conserved quantities
     (and, optionally, the orbital distance to a solitary wave) every
-    record_every steps.
+    record_every steps.  The nonlinear term is always dealiased by the
+    2/3 rule: modes above 2/3 of the Nyquist wavenumber are zeroed.
 
     Blow-up (sup-norm growth beyond 1e6 times the initial) and NaN both stop
     the integration and return a flagged partial trace.  A blown-up state is
@@ -118,9 +118,7 @@ def evolve(
         )
 
     mask = np.ones(xi_r.size)
-    if dealias:
-        cutoff = (2.0 / 3.0) * xi_r[-1]
-        mask[xi_r > cutoff] = 0.0
+    mask[xi_r > (2.0 / 3.0) * xi_r[-1]] = 0.0
     # odd multiplier: the Nyquist mode of the derivative is dropped
     ik = 1j * xi_r
     ik[-1] = 0.0
@@ -155,8 +153,7 @@ def evolve(
         for name, functional in pair.items():
             conserved[name].append(functional(u_field))
         if track_orbit is not None:
-            dists.append(orbital_distance(u_field, track_orbit,
-                                          track_orbit.model.symbol.alpha)[0])
+            dists.append(orbital_distance(u_field, track_orbit)[0])
 
     uhat = np.fft.rfft(u0.values)
     # the samples of uhat; each step's blow-up check refreshes them for the next
@@ -201,10 +198,12 @@ def evolve(
 # -- distance to the ground-state orbit ----------------------------------------
 
 
-def orbital_distance(u: RealField, Q: SolitaryWave, alpha: float) -> tuple[float, float]:
-    """inf over y of the energy-norm distance between u(. + y) and Q.
+def orbital_distance(u: RealField, Q: SolitaryWave) -> tuple[float, float]:
+    """inf over y of the energy-norm distance between u(. + y) and Q, in the
+    norm of the wave's own model: the weight is w = 1 + p(xi) for its symbol
+    p, so 1 + |xi|^alpha for a pure power.
 
-    With w = 1 + |xi|^alpha the squared distance is a constant minus 2 C(y),
+    The squared distance is a constant minus 2 C(y),
     C(y) = sum_k c_k w_k Re(uhat_k conj(qhat_k) e^{i xi_k y}), where c_k is 2
     for interior modes and 1 for the mean and Nyquist modes.  One irfft of the
     weighted cross-spectrum gives C at every whole-grid shift; Newton steps on
@@ -213,11 +212,10 @@ def orbital_distance(u: RealField, Q: SolitaryWave, alpha: float) -> tuple[float
     and the aligning shift y_star, normalized to [-L, L).
     """
     grid = u.grid
-    if Q.profile.grid.n != grid.n or Q.profile.grid.L != grid.L:
-        raise ValueError("field and profile live on different grids")
+    _same_grid(grid, Q.profile.grid)
     uhat = np.fft.rfft(u.values)
     qhat = np.fft.rfft(Q.profile.values)
-    weight = 1.0 + grid.xi_r**alpha
+    weight = 1.0 + Q.model.symbol(grid.xi_r)
     cross = weight * uhat * np.conj(qhat)
     z0 = int(np.argmax(np.fft.irfft(cross, n=grid.n))) * grid.dx
     cross[1:-1] *= 2.0  # now C(y) = Re sum_k cross_k e^{i xi_k y}
@@ -277,20 +275,18 @@ def make_perturbation(Q: SolitaryWave, kind: str, delta: float, seed: int = 0) -
 
 
 def stability_experiment(
-    model: ModelSpec,
-    c: float,
+    Q: SolitaryWave,
     delta: float,
     perturbation_kind: str,
     horizon: float,
     dt: float,
-    grid: Grid1D,
     seed: int = 0,
     K: float = 5.0,
-    Q: Optional[SolitaryWave] = None,
     gate_tolerance: float = 1e-3,
 ) -> tuple[StabilityReport, EvolutionTrace]:
     """Perturb a verified solitary wave and measure the orbital distance along
-    the flow.
+    the flow.  The wave is the one source of the model that is evolved, the
+    grid it runs on, and the velocity and alpha that are reported.
 
     The bounded verdict requires the running sup of the orbital distance to
     stay below K * delta * ||Q|| (with a small floor for delta = 0) and the
@@ -302,9 +298,6 @@ def stability_experiment(
     loose enough for the periodization level of desk-scale boxes while still
     rejecting unconverged or perturbed profiles.
     """
-    alpha = model.symbol.alpha
-    if Q is None:
-        Q = petviashvili(model, c, grid)
     gate = identity_suite(Q, tolerance=gate_tolerance)
     bad = [r.name for r in gate if not r.passed]
     if bad:
@@ -312,14 +305,14 @@ def stability_experiment(
 
     pert = make_perturbation(Q, perturbation_kind, delta, seed=seed)
     u0 = Q.profile + pert
-    trace = evolve(model, u0, horizon, dt, record_every=max(1, int(round(0.25 / dt))),
+    trace = evolve(Q.model, u0, horizon, dt, record_every=max(1, int(round(0.25 / dt))),
                    track_orbit=Q)
 
     dists = trace.orbital_distance_series
     sup_d = float(np.max(dists))
     end_d = float(dists[-1])
     drift = trace.conserved_drift()
-    threshold = K * max(delta, DELTA_FLOOR) * energy_norm(Q.profile, alpha)
+    threshold = K * max(delta, DELTA_FLOOR) * energy_norm(Q.profile, Q.alpha)
 
     if trace.flag is not None:
         verdict = "growing"
@@ -335,8 +328,8 @@ def stability_experiment(
         verdict = "growing" if growing else "inconclusive"
 
     report = StabilityReport(
-        alpha=alpha,
-        c=c,
+        alpha=Q.alpha,
+        c=Q.c,
         delta=delta,
         perturbation_kind=perturbation_kind,
         horizon=horizon,

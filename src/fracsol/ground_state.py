@@ -35,6 +35,7 @@ from .spectral import (
     RealField,
     _chirp_z,
     _even_rfft,
+    _same_grid,
     field_from_values,
     make_grid,
     quad_form,
@@ -228,6 +229,7 @@ def petviashvili(
     contraction exponent gamma = (p+1)/p.  Converged means both the
     successive-iterate sup change is below tol and the equation residual is
     below 10*tol; stagnation of the iterates alone can mask non-solutions.
+    A seed_profile must be sampled on grid; the default is default_seed.
 
     Anderson (Pulay/DIIS) mixing (Walker & Ni, SIAM J. Numer. Anal. 49,
     2011) keeps the outputs G_j = G(Q_j) and residuals F_j = G_j - Q_j of the
@@ -274,7 +276,10 @@ def petviashvili(
 
     n = grid.n
     half = n // 2 + 1
-    seed = (seed_profile if seed_profile is not None else default_seed(model, c, grid)).values
+    if seed_profile is None:
+        seed_profile = default_seed(model, c, grid)
+    _same_grid(seed_profile.grid, grid)
+    seed = seed_profile.values
     # even part of the seed on samples 0..n/2: sample j pairs with n - j
     q = np.empty(half)
     q[0] = seed[0]

@@ -95,13 +95,13 @@ class RealField:
 
     def __add__(self, other):
         if isinstance(other, RealField):
-            _same_grid(self, other)
+            _same_grid(self.grid, other.grid)
             return RealField(self.grid, _readonly(self.values + other.values))
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, RealField):
-            _same_grid(self, other)
+            _same_grid(self.grid, other.grid)
             return RealField(self.grid, _readonly(self.values - other.values))
         return NotImplemented
 
@@ -116,9 +116,10 @@ class RealField:
         return RealField(self.grid, _readonly(-self.values))
 
 
-def _same_grid(u: RealField, v: RealField) -> None:
-    if u.grid is not v.grid and (u.grid.n != v.grid.n or u.grid.L != v.grid.L):
-        raise ValueError("fields live on different grids")
+def _same_grid(a: Grid1D, b: Grid1D) -> None:
+    """The one equality rule of grids: the same n and the same L."""
+    if a is not b and (a.n != b.n or a.L != b.L):
+        raise ValueError(f"different grids: (n={a.n}, L={a.L:g}) and (n={b.n}, L={b.L:g})")
 
 
 def field_from_values(grid: Grid1D, values) -> RealField:

@@ -298,13 +298,13 @@ class GNScanReport(Report):
     passed: bool
 
 
-def gn_scan(Q: SolitaryWave, battery: Sequence[RealField], alpha: float,
+def gn_scan(Q: SolitaryWave, battery: Sequence[RealField],
             slack: float = 1e-8) -> GNScanReport:
-    """Assert the ground state minimizes the Weinstein ratio, at the
-    nonlinearity power of its model, over a battery."""
+    """Assert the ground state minimizes the Weinstein ratio, at the alpha
+    and the nonlinearity power of its model, over a battery."""
     if len(battery) == 0:
         raise ValueError("gn_scan needs a non-empty battery")
-    p = Q.model.p
+    alpha, p = Q.alpha, Q.model.p
     j_ground = weinstein(Q.profile, alpha, p)
     ratios = tuple(weinstein(f, alpha, p) / j_ground for f in battery)
     argmin = int(np.argmin(ratios))

@@ -139,7 +139,7 @@ def test_criterion_04_minimizer_ground_state_correspondence():
     rel_theta = abs(res.theta - c_star) / c_star
     rel_E = abs(res.I_q - E_pred) / abs(E_pred)
     Qs = rescale_solitary(Q1, c_star)
-    dist, _ = orbital_distance(res.profile, Qs, alpha)
+    dist, _ = orbital_distance(res.profile, Qs)
     rel_dist = dist / energy_norm(Qs.profile, alpha)
     ok = rel_theta < 1e-4 and rel_E < 1e-4 and rel_dist < 1e-3 and res.I_q < 0.0
     announce(4, "minimizer = rescaled ground state", ok,
@@ -209,10 +209,9 @@ def test_criterion_09_orbital_stability_experiments():
         0.6: dict(grid=make_grid(16384, 200.0), dt=50.0 / 81920, gate=2e-3),
     }
     for alpha, cfg in configs.items():
-        model = ModelSpec(family=FKDV, symbol=POWER(alpha))
+        Q = petviashvili(ModelSpec(family=FKDV, symbol=POWER(alpha)), 1.0, cfg["grid"])
         report, _ = stability_experiment(
-            model, 1.0, 0.01, "gaussian", 50.0, cfg["dt"], cfg["grid"],
-            gate_tolerance=cfg["gate"])
+            Q, 0.01, "gaussian", 50.0, cfg["dt"], gate_tolerance=cfg["gate"])
         ok = ok and report.verdict != "growing"
         details.append(
             f"a={alpha}: {report.verdict}, sup {report.sup_distance:.3f} "
@@ -230,8 +229,8 @@ def test_criterion_10_fbbm():
                    track_orbit=Qb)
     drift = trace.conserved_drift()
     report, _ = stability_experiment(
-        derived, 2.0, 0.01, "gaussian", 20.0, 2.0**-9, make_grid(16384, 400.0),
-        gate_tolerance=2e-3)
+        petviashvili(derived, 2.0, make_grid(16384, 400.0)), 0.01, "gaussian", 20.0,
+        2.0**-9, gate_tolerance=2e-3)
     ok = (paper.residual_sup < 1e-8 and drift < 1e-8
           and report.verdict != "growing")
     announce(10, "fBBM solve + conservation + stability", ok,
@@ -249,7 +248,7 @@ def test_criterion_11_gn_minimality(q075_family_large):
     # every Q_c attains the minimum; reference the member with the smallest
     # measured value, the strictest minimality claim the grids support
     ref = min(q075_family_large.values(), key=lambda w: weinstein(w.profile, alpha))
-    scan = gn_scan(ref, battery + [w.profile for w in family], alpha, slack=1e-8)
+    scan = gn_scan(ref, battery + [w.profile for w in family], slack=1e-8)
     family_spread = (max(js.values()) - min(js.values())) / min(js.values())
     ok = scan.passed and family_spread < 1e-6
     announce(11, "Gagliardo-Nirenberg minimality", ok,

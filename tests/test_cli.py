@@ -127,7 +127,7 @@ class TestConfigFile:
     def test_other_command_key_allowed(self, tmp_path):
         # one file can serve several commands: evolve's keys pass ground-state
         cfg = tmp_path / "shared.cfg"
-        cfg.write_text("alpha = 0.8\nn = 4096\nL = 200\ntrack = no\ndealias = yes\n")
+        cfg.write_text("alpha = 0.8\nn = 4096\nL = 200\ntrack = no\n")
         report = str(tmp_path / "r.json")
         assert main(["ground-state", "--config", str(cfg), "--report", report]) == 0
         assert "track" not in json.load(open(report))["config"]

@@ -21,6 +21,7 @@ from fracsol.evolution import (
     orbital_distance,
     stability_experiment,
 )
+from fracsol.functionals import bbm_quadratic
 from fracsol.ground_state import FBBM, FKDV, GFKDV, solitary_from_profile
 
 POWER = DispersionSymbol.power
@@ -155,14 +156,14 @@ class TestEvolve:
 class TestOrbitalDistance:
     def test_exact_orbit_member(self, wave8):
         u = shift_field(wave8.profile, 3.7)
-        dist, y_star = orbital_distance(u, wave8, 0.75)
+        dist, y_star = orbital_distance(u, wave8)
         assert dist < 1e-9
         assert abs(y_star - (-3.7)) < 1e-6
 
     def test_perturbation_upper_bound(self, wave8, rng):
         g = wave8.profile.grid
         bump = field_from_values(g, 0.05 * np.exp(-((g.x - 3.0) / 2.0) ** 2))
-        dist, _ = orbital_distance(wave8.profile + bump, wave8, 0.75)
+        dist, _ = orbital_distance(wave8.profile + bump, wave8)
         assert dist <= energy_norm(bump, 0.75) + 1e-12
 
     def test_matches_brute_force_scan(self, wave8):
@@ -176,7 +177,7 @@ class TestOrbitalDistance:
         for bump in (0.0, 0.5):
             u = 1.05 * wave8.profile + field_from_values(
                 g, bump * np.exp(-((g.x - 2.0) / 1.5) ** 2))
-            dist, y_star = orbital_distance(u, wave8, 0.75)
+            dist, y_star = orbital_distance(u, wave8)
             # oracle: dense scan over sub-grid shifts of the squared objective
             uhat = np.fft.fft(u.values)
             objective = []
@@ -192,16 +193,25 @@ class TestOrbitalDistance:
     def test_zero_field_is_profile_norm(self, wave8):
         # C vanishes identically, so the curvature guard stops the refinement
         g = wave8.profile.grid
-        dist, y_star = orbital_distance(field_from_values(g, np.zeros(g.n)), wave8, 0.75)
+        dist, y_star = orbital_distance(field_from_values(g, np.zeros(g.n)), wave8)
         assert dist == energy_norm(wave8.profile, 0.75)
         assert y_star == 0.0
+
+    def test_whitham_distance_is_the_model_s_energy_norm(self, grid_desk):
+        # the weight is 1 + p(xi) of the wave's symbol: for Whitham the
+        # zero field sits at sqrt(2 * quadratic(Q)), not at sqrt(2) ||Q||_2
+        wave = petviashvili(ModelSpec(family=FKDV, symbol=DispersionSymbol.whitham()),
+                            1.2, grid_desk)
+        dist, _ = orbital_distance(field_from_values(grid_desk, np.zeros(grid_desk.n)), wave)
+        expected = np.sqrt(2.0 * bbm_quadratic(wave.profile, wave.model.symbol))
+        assert abs(dist - expected) <= 1e-12 * expected
 
     def test_translation_invariance(self, wave8, rng):
         g = wave8.profile.grid
         u = wave8.profile + field_from_values(
             g, 0.01 * np.exp(-((g.x + 5.0) / 3.0) ** 2))
-        d0, _ = orbital_distance(u, wave8, 0.75)
-        d1, _ = orbital_distance(shift_field(u, 11.3), wave8, 0.75)
+        d0, _ = orbital_distance(u, wave8)
+        d1, _ = orbital_distance(shift_field(u, 11.3), wave8)
         assert abs(d0 - d1) < 1e-9
 
     def test_symmetric_under_shifting_profile(self, wave8):
@@ -210,15 +220,15 @@ class TestOrbitalDistance:
             g, 0.01 * np.exp(-(g.x / 3.0) ** 2))
         shifted_wave = solitary_from_profile(
             shift_field(wave8.profile, 7.21), wave8.c, wave8.model)
-        d0, _ = orbital_distance(u, wave8, 0.75)
-        d1, _ = orbital_distance(u, shifted_wave, 0.75)
+        d0, _ = orbital_distance(u, wave8)
+        d1, _ = orbital_distance(u, shifted_wave)
         assert abs(d0 - d1) < 1e-9
 
     def test_grid_mismatch_rejected(self, wave8):
         other = make_grid(4096, 200.0)
         u = field_from_values(other, np.zeros(other.n))
-        with pytest.raises(ValueError):
-            orbital_distance(u, wave8, 0.75)
+        with pytest.raises(ValueError, match="different grids"):
+            orbital_distance(u, wave8)
 
 
 class TestPerturbations:
@@ -243,18 +253,14 @@ class TestPerturbations:
 
 
 class TestStabilityExperiment:
-    def test_unperturbed_wave_is_bounded(self, grid8):
-        model = ModelSpec(family=FKDV, symbol=POWER(0.75))
-        report, trace = stability_experiment(
-            model, 1.0, 0.0, "gaussian", 5.0, 2.0**-9, grid8)
+    def test_unperturbed_wave_is_bounded(self, wave8):
+        report, trace = stability_experiment(wave8, 0.0, "gaussian", 5.0, 2.0**-9)
         assert report.verdict == "bounded"
         assert report.sup_distance < 1e-5
         assert trace.flag is None
 
-    def test_small_perturbation_short_horizon(self, grid8):
-        model = ModelSpec(family=FKDV, symbol=POWER(0.75))
-        report, _ = stability_experiment(
-            model, 1.0, 0.01, "gaussian", 10.0, 2.0**-9, grid8)
+    def test_small_perturbation_short_horizon(self, wave8):
+        report, _ = stability_experiment(wave8, 0.01, "gaussian", 10.0, 2.0**-9)
         assert report.verdict == "bounded"
         assert report.sup_distance >= report.distance_at_end >= 0.0
         assert report.conserved_drift < 1e-6
@@ -262,35 +268,39 @@ class TestStabilityExperiment:
     def test_expected_unstable_regime_still_reports(self, grid8):
         # alpha <= 1/2: no theorem; the experiment must run and return a
         # verdict without claiming boundedness
-        model = ModelSpec(family=FKDV, symbol=POWER(0.40))
-        report, _ = stability_experiment(
-            model, 1.0, 0.01, "gaussian", 5.0, 2.0**-9, grid8,
-            gate_tolerance=np.inf)
+        Q = petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.40)), 1.0, grid8)
+        report, _ = stability_experiment(Q, 0.01, "gaussian", 5.0, 2.0**-9,
+                                         gate_tolerance=np.inf)
         assert report.verdict in ("bounded", "growing", "inconclusive")
 
     def test_gfkdv_passes_the_gate(self, grid_desk):
         # the gate checks the p = 2 identities, not the quadratic ones
-        model = ModelSpec(family=GFKDV, symbol=POWER(1.5), p=2)
-        report, _ = stability_experiment(
-            model, 1.0, 0.01, "gaussian", 1.0, 2.0**-9, grid_desk)
+        Q = petviashvili(ModelSpec(family=GFKDV, symbol=POWER(1.5), p=2), 1.0, grid_desk)
+        report, _ = stability_experiment(Q, 0.01, "gaussian", 1.0, 2.0**-9)
         assert report.verdict == "bounded"
 
-    def test_gate_rejects_bad_profile(self, grid8, wave8):
+    def test_runs_on_the_wave_s_model_and_grid(self, grid_desk):
+        # the desk box holds the alpha 0.6 identities to 7.1e-3
+        Q = petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.6)), 1.0, grid_desk)
+        report, trace = stability_experiment(Q, 0.01, "gaussian", 0.5, 2.0**-9,
+                                             gate_tolerance=1e-2)
+        assert report.alpha == 0.6
+        assert report.c == Q.c
+        assert trace.model is Q.model
+        assert trace.final_state.grid is Q.profile.grid
+
+    def test_gate_rejects_bad_profile(self, wave8):
         import dataclasses
 
-        g = grid8
+        g = wave8.profile.grid
         spoiled = field_from_values(
             g, wave8.profile.values + 0.05 * np.exp(-g.x**2))
         fake = dataclasses.replace(wave8, profile=spoiled)
-        model = ModelSpec(family=FKDV, symbol=POWER(0.75))
         with pytest.raises(NumericalError, match="identity gate"):
-            stability_experiment(model, 1.0, 0.01, "gaussian", 1.0, 2.0**-9,
-                                 grid8, Q=fake)
+            stability_experiment(fake, 0.01, "gaussian", 1.0, 2.0**-9)
 
-    def test_report_serialization(self, grid8):
-        model = ModelSpec(family=FKDV, symbol=POWER(0.75))
-        report, _ = stability_experiment(
-            model, 1.0, 0.0, "gaussian", 1.0, 2.0**-9, grid8)
+    def test_report_serialization(self, wave8):
+        report, _ = stability_experiment(wave8, 0.0, "gaussian", 1.0, 2.0**-9)
         d = report.to_dict()
         assert d["verdict"] == report.verdict
         assert set(d) >= {"alpha", "c", "delta", "perturbation_kind", "horizon",

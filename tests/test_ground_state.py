@@ -234,6 +234,13 @@ class TestPetviashvili:
         kicked = petviashvili(model, 1.0, grid_desk, tol=1e-12, seed_profile=seed + odd)
         assert np.max(np.abs(kicked.profile.values - even.profile.values)) <= 1e-12
 
+    @pytest.mark.parametrize("n, L", [(8192, 200.0), (4096, 400.0)], ids=["n", "L"])
+    def test_seed_on_another_grid_rejected(self, grid_desk, n, L):
+        model = ModelSpec(family=FKDV, symbol=POWER(0.75))
+        seed = default_seed(model, 1.0, make_grid(n, L))
+        with pytest.raises(ValueError, match="different grids"):
+            petviashvili(model, 1.0, grid_desk, seed_profile=seed)
+
     @pytest.mark.parametrize("model, c, sweeps", [
         (ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, 52),
         (ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived"), 2.0, 52),

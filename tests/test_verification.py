@@ -240,13 +240,13 @@ class TestIqScaling:
 
 class TestGNScan:
     def test_self_battery(self, q075_wave):
-        rep = gn_scan(q075_wave, [q075_wave.profile], 0.75)
+        rep = gn_scan(q075_wave, [q075_wave.profile])
         assert abs(rep.min_ratio - 1.0) < 1e-14
         assert rep.passed
 
     def test_seeded_battery_never_beats_ground_state(self, q075_wave):
         battery = make_scan_battery(q075_wave.profile.grid, seed=7, count=20)
-        rep = gn_scan(q075_wave, battery, 0.75)
+        rep = gn_scan(q075_wave, battery)
         assert rep.passed
         assert rep.min_ratio >= 1.0 - 1e-8
 
@@ -258,17 +258,17 @@ class TestGNScan:
 
     def test_empty_battery_rejected(self, q075_wave):
         with pytest.raises(ValueError):
-            gn_scan(q075_wave, [], 0.75)
+            gn_scan(q075_wave, [])
 
     def test_uses_the_model_power(self, grid_desk):
         wave = petviashvili(ModelSpec(family=GFKDV, symbol=POWER(1.5), p=2), 1.0, grid_desk)
         gauss = field_from_values(grid_desk, np.exp(-grid_desk.x**2))
-        rep = gn_scan(wave, [gauss], 1.5)
+        rep = gn_scan(wave, [gauss])
         assert rep.ground_value == weinstein(wave.profile, 1.5, 2)
         assert rep.passed and rep.min_ratio > 1.0
 
     def test_gaussian_ratio_strictly_above_one(self, q075_wave):
         g = q075_wave.profile.grid
         gauss = field_from_values(g, np.exp(-g.x**2))
-        rep = gn_scan(q075_wave, [gauss], 0.75)
+        rep = gn_scan(q075_wave, [gauss])
         assert rep.min_ratio > 1.01  # generic fields are far from sharpness
