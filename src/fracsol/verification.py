@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .functionals import Report, energy_fkdv, mass, weinstein
-from .ground_state import SolitaryWave, dilate_field, minimize_iq, paper_form
+from .ground_state import SolitaryWave, dilate_field, minimize_iq, paper_form, upsample_field
 from .spectral import (
     PURE_POWER,
     DispersionSymbol,
@@ -234,7 +234,9 @@ def iq_scaling_check(
     spectral_tail shares are at most RESOLVED_TAIL; past MAX_REFINE times
     the given n this raises ConvergenceError.  On each grid the minimizers
     are computed narrowest first (largest mass first), and the first one
-    found unresolved moves the check to the next n."""
+    found unresolved moves the check to the next n.  There each mass
+    minimized on the coarser grid is seeded with that minimizer, upsampled;
+    a mass first minimized on this grid starts from minimize_iq's seed."""
     if not (0.5 < alpha < 1.0):
         raise ValueError(f"iq_scaling_check needs alpha in (1/2, 1), got {alpha}")
     for theta in theta_list:
@@ -243,15 +245,18 @@ def iq_scaling_check(
     exponent = (3.0 * alpha - 1.0) / (2.0 * alpha - 1.0)
     sym = DispersionSymbol.power(alpha)
     fine = grid
+    coarse = {}
     while True:
         tail = 0.0
         minimizers = {}
         for theta in sorted({1.0, *theta_list}, reverse=True):
-            res = minimize_iq(theta * q, alpha, fine)
+            prev = coarse.get(theta)
+            seed = None if prev is None else upsample_field(prev.profile, fine.n)
+            res = minimize_iq(theta * q, alpha, fine, seed_profile=seed)
+            minimizers[theta] = res
             tail = max(tail, spectral_tail(res.profile))
             if tail > RESOLVED_TAIL:
                 break
-            minimizers[theta] = res
         else:
             base = minimizers[1.0]
             reports = []
@@ -282,6 +287,7 @@ def iq_scaling_check(
                 f"iq_scaling_check: spectral tail share {tail:.3e} > {RESOLVED_TAIL:g} "
                 f"at n = {fine.n} (L = {grid.L:g}), {MAX_REFINE}x the given n"
             )
+        coarse = minimizers
         fine = make_grid(2 * fine.n, grid.L)
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -217,21 +219,39 @@ class TestIqScaling:
         assert result.tail <= 1e-4
         assert all(r.passed for r in result.checks)
 
-    @pytest.mark.parametrize("q, thetas", [(12.5, [2.0]), (25.0, [0.5])],
-                             ids=["theta_above_one", "theta_below_one"])
-    def test_unresolved_level_minimizes_only_its_narrowest_field(self, monkeypatch, q, thetas):
-        # the mass 25 minimizer is the narrowest field of both checks; its
-        # tail alone shows n = 4096 and 8192 unresolved (L = 200)
+    @pytest.fixture()
+    def minimizations(self, monkeypatch):
+        """Spy on iq_scaling_check's minimize_iq calls: one record of mass,
+        n, iterations and whether a seed was passed per call."""
         calls = []
 
         def spy(mass, alpha, grid, *args, _original=verification.minimize_iq, **kwargs):
-            calls.append((mass, grid.n))
-            return _original(mass, alpha, grid, *args, **kwargs)
+            res = _original(mass, alpha, grid, *args, **kwargs)
+            calls.append(SimpleNamespace(mass=mass, n=grid.n, iterations=res.iterations,
+                                         seeded=kwargs.get("seed_profile") is not None))
+            return res
 
         monkeypatch.setattr(verification, "minimize_iq", spy)
+        return calls
+
+    @pytest.mark.parametrize("q, thetas", [(12.5, [2.0]), (25.0, [0.5])],
+                             ids=["theta_above_one", "theta_below_one"])
+    def test_unresolved_level_minimizes_only_its_narrowest_field(self, minimizations, q, thetas):
+        # the mass 25 minimizer is the narrowest field of both checks; its
+        # tail alone shows n = 4096 and 8192 unresolved (L = 200)
         result = iq_scaling_check(0.75, q, thetas, make_grid(4096, 200.0))
         assert result.n == 16384
-        assert calls == [(25.0, 4096), (25.0, 8192), (25.0, 16384), (12.5, 16384)]
+        assert [(c.mass, c.n) for c in minimizations] == [
+            (25.0, 4096), (25.0, 8192), (25.0, 16384), (12.5, 16384)]
+
+    def test_refined_levels_start_from_the_coarse_minimizer(self, minimizations):
+        # the README command iq-scaling --q 12.5 --thetas 2: mass 25 is
+        # seeded on n = 8192 and 16384 from the level below, mass 12.5 is
+        # first minimized on 16384 and starts from the Gaussian.  The
+        # unseeded, unmixed flow took 160 + 236 + 202 + 181 = 779 iterations
+        iq_scaling_check(0.75, 12.5, [2.0], make_grid(4096, 200.0))
+        assert [c.seeded for c in minimizations] == [False, True, True, False]
+        assert sum(c.iterations for c in minimizations) <= 200
 
     def test_gives_up_past_sixteen_times_n(self):
         with pytest.raises(ConvergenceError, match=r"spectral tail share .* n = 4096"):
