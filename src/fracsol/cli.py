@@ -376,8 +376,10 @@ def cmd_sweep(cfg, args) -> int:
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         index = list(pool.map(run_point, enumerate(points)))
-    fio.dump_json({"command": cfg["command"], "points": index},
-                  os.path.join(cfg["out"], "index.json"))
+    payload = {"command": cfg["command"], "points": index}
+    fio.dump_json(payload, os.path.join(cfg["out"], "index.json"))
+    if cfg["report"]:
+        _write_report(payload, cfg, cfg["report"])
     worst = max(entry["exit_code"] for entry in index)
     print(f"sweep: {len(index)} points, worst exit code {worst}")
     return worst
@@ -423,7 +425,7 @@ COMMANDS = {
         alphas="0.5,0.8,1.0,1.3333333333333333,1.9", cs="0.5,1,2", blt_alpha=0.9,
         nx=128, ny=128, Lx=20.0, Ly=20.0, residual_tol=1e-12, report="")),
     "sweep": (cmd_sweep, "cartesian parameter sweep of a command", dict(
-        command="ground-state", out="sweep_out", jobs=0)),
+        command="ground-state", out="sweep_out", jobs=0, report="")),
 }
 CONFIG_KEYS = {key for _, _, defaults in COMMANDS.values() for key in defaults}
 

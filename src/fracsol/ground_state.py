@@ -201,12 +201,15 @@ def _mix_weights(gram: np.ndarray, hist: list) -> np.ndarray:
     """Weights a with sum 1 that minimize |sum_j a_j F_j| over the ring slots
     in hist, given the Gram matrix of the residuals F_j.  While the Gram
     matrix normalized to unit diagonal has condition number above MIX_COND,
-    the oldest slot is dropped from hist (in place)."""
+    the oldest slot is dropped from hist (in place).  The matrix is
+    symmetric, so its condition number is the ratio of its extreme
+    eigenvalue magnitudes."""
     while len(hist) > 1:
-        h = gram[np.ix_(hist, hist)]
+        h = gram[hist][:, hist]
         d = np.sqrt(np.diag(h))
         hn = h / np.outer(d, d)
-        if np.linalg.cond(hn) < MIX_COND:
+        lam = np.abs(np.linalg.eigvalsh(hn))
+        if lam.max() < MIX_COND * lam.min():
             y = np.linalg.solve(hn, 1.0 / d) / d
             return y / y.sum()
         del hist[0]
@@ -272,8 +275,9 @@ def petviashvili(
     The iterate is carried in Fourier space as well: Q_hat is computed once
     from the seed, the numerator of S is the Parseval sum over Q_hat, and
     G_j, F_j and the mix are spectra.  So a sweep takes two even transforms,
-    of the nonlinearity and of the mixed spectrum; the residual check
-    reuses Q_hat and adds one, and its sup and l^2 norms are the reported
+    of the nonlinearity and of the mixed spectrum: about n transform points
+    (n + 4096 above n = 8192, 1.5 n up to it); the residual check reuses
+    Q_hat and adds one, and its sup and l^2 norms are the reported
     residuals.  The sweeps run in preallocated buffers: the samples, Q_hat,
     the transform's work space and a ring of 2 (MIX_DEPTH + 1) spectra.  The
     nonlinearity, the new samples, the sup change and the residual check use

@@ -21,9 +21,10 @@ steppers) manipulates fields through Fourier multipliers on this box:
   (``_chirp_z``) on the same rfft/irfft kernel,
 * an even field, u(x) = u(-x), is fixed by its samples 0..n/2 (x from -L
   to 0), and its rfft is real: the cosine transform (DCT-I) of those
-  n/2 + 1 samples.  ``_even_rfft`` takes it with one rfft of length n/2 and
-  one irfft of length n/4 of the same kernel, and it is its own inverse up
-  to the factor 1/n.
+  n/2 + 1 samples.  ``_even_rfft`` takes it with one irfft of length n/4
+  and the cosine transform of half the size, down to one rfft of length
+  at most _EVEN_BASE: about n/2 transform points in all.  It is its own
+  inverse up to the factor 1/n.
 
 Grids and fields are immutable after construction and safe to share between
 concurrently running solves.
@@ -319,28 +320,42 @@ def _quarter_twiddle(m: int) -> np.ndarray:
     return t
 
 
+_EVEN_BASE = 4096  # largest N whose even outputs _even_rfft takes with one rfft;
+# from 1024 to 65536 it made no measurable difference to the transform time
+
+
 def _even_rfft(x: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """The rfft of the even sequence of length n = 2N whose samples 0..N are
     x (N + 1 values), written into the float64 array out of N + 1 values.
     The spectrum of an even sequence is real and even, so applying the
     transform twice returns n * x.
 
-    The even outputs are the rfft of length N of e_j = x_j + x_{N-j}.  The
-    odd ones are the DCT-III d_0 + 2 sum_{0<j<N/2} d_j cos(pi j (2m+1)/N) of
+    The even outputs are the rfft of length N of e_j = x_j + x_{N-j}.  That
+    sequence is even with period N, so above N = _EVEN_BASE they are this
+    transform of e_0..e_{N/2}, with work[N:2N + 2] as its work space (the
+    recursive split of FFTW's REDFT00; Frigo & Johnson, Proc. IEEE 93,
+    2005); at or below it, one rfft of length N.  The odd outputs are the
+    DCT-III d_0 + 2 sum_{0<j<N/2} d_j cos(pi j (2m+1)/N) of
     d_j = x_j - x_{N-j}, taken by Makhoul's method (IEEE TASSP 28, 1980)
-    with one irfft of length N/2.  Both steps keep the accuracy of the rfft;
-    the cumulative-sum recurrence of the single-FFT cosine transform does
-    not.  N must be even.  work, when given, is a float64 buffer of at least
-    2N + 2 values that holds the intermediates in place of temporaries.
+    with one irfft of length N/2.  So the transform takes N + _EVEN_BASE/2
+    transform points above the base and 3N/2 at or below it.  Both steps
+    keep the accuracy of the rfft; the cumulative-sum recurrence of the
+    single-FFT cosine transform does not.  N must be a power of two.  work,
+    when given, is a float64 buffer of at least 2N + 2 values that holds the
+    intermediates in place of temporaries.
     """
     N = x.size - 1
     m = N // 2
     h = m // 2
     work = np.empty(2 * N + 2) if work is None else work
-    spec = work[N:2 * N + 2].view(np.complex128)  # N/2 + 1 modes
-    e = np.add(x[:N], x[N:0:-1], out=work[:N])
-    np.fft.rfft(e, out=spec)
-    np.copyto(out[0::2], spec.real)
+    if N > _EVEN_BASE:
+        e = np.add(x[:m + 1], x[N:m - 1:-1], out=work[:m + 1])
+        _even_rfft(e, out[0::2], work[N:2 * N + 2])
+    else:
+        spec = work[N:2 * N + 2].view(np.complex128)  # N/2 + 1 modes
+        e = np.add(x[:N], x[N:0:-1], out=work[:N])
+        np.fft.rfft(e, out=spec)
+        np.copyto(out[0::2], spec.real)
     # the odd outputs z_j = out[2j+1], reordered as y_i = z_{2i} and
     # y_{m-1-i} = z_{2i+1}, are the irfft of the half spectrum
     # vhat_k = exp(1j*pi*k/(2m)) (d_k - 1j d_{m-k}), k <= m/2, with d_m = 0

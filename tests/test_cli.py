@@ -328,6 +328,33 @@ class TestSweep:
         assert "--jobs" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "index.json"))
 
+    def test_usage_error_written_to_report(self, tmp_path, capsys):
+        # like evolve --dt -1 --report, a rejected sweep leaves its error as JSON
+        report = tmp_path / "r.json"
+        out = tmp_path / "sw"
+        code = main(["sweep", "--jobs", "-3", "--param", "alpha=0.8",
+                     "--out", str(out), "--report", str(report)])
+        assert code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert json.loads(report.read_text()) == {
+            "error": "ValueError",
+            "message": "--jobs must be finite and >= 0 (0 selects the default), got -3"}
+        assert not out.exists()
+
+    def test_report_holds_the_index(self, tmp_path):
+        # a completed sweep writes its index with the resolved configuration
+        # to --report; the point still writes its own report.json
+        out = str(tmp_path / "sweep5")
+        report = tmp_path / "r.json"
+        code = main(["sweep", "--command", "ground-state", "--out", out,
+                     "--param", "alpha=0.8", "--report", str(report)])
+        assert code == 0
+        index = json.load(open(os.path.join(out, "index.json")))
+        written = json.loads(report.read_text())
+        assert written.pop("config")["report"] == str(report)
+        assert written == index
+        assert os.path.exists(os.path.join(index["points"][0]["dir"], "report.json"))
+
     def test_sweep_requires_params(self, tmp_path):
         assert main(["sweep", "--command", "ground-state",
                      "--out", str(tmp_path / "s")]) == 2

@@ -144,8 +144,9 @@ class TestPetviashvili:
                          grid_desk, gamma=0.0, seed_profile=seed)
 
     def test_two_transforms_per_sweep(self, grid_desk, monkeypatch):
-        # a sweep takes two even transforms of the half-grid, each an rfft of
-        # n/2 points and an irfft of n/4: 1.5 n points where the full-grid
+        # a sweep takes two even transforms of the half-grid.  On the desk
+        # grid n/2 is below spectral._EVEN_BASE, so each is an rfft of n/2
+        # points and an irfft of n/4: 1.5 n points where the full-grid
         # rfft/irfft pair took 2 n.  Besides the sweeps, the seed and each
         # residual check take one even transform
         calls = spy_transforms(monkeypatch)
@@ -165,6 +166,29 @@ class TestPetviashvili:
         assert 2 <= extra <= 3  # the seed and one or two residual checks
         assert points <= 1.5 * n * wave.iterations + 0.75 * n * extra
         assert len(calls) == 2 * len(transforms)
+
+    def test_recursive_transform_points_per_sweep(self, monkeypatch):
+        # above the base the even transform recurses on its even fold: at
+        # n = 2^16 it takes irffts of n/4, n/8, n/16 and n/32 points and one
+        # rfft of n/16, 0.53 n points, so a sweep's two transforms take
+        # 1.06 n where the base path alone took 1.5 n
+        calls = spy_transforms(monkeypatch)
+        transforms = []
+
+        def spy_even_rfft(x, out, work=None, _original=ground_state._even_rfft):
+            transforms.append(x.size)
+            return _original(x, out, work)
+
+        monkeypatch.setattr(ground_state, "_even_rfft", spy_even_rfft)
+        grid = make_grid(1 << 16, 200.0)
+        wave = petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, grid)
+        monkeypatch.undo()
+        n = grid.n
+        points = [max(a.size, out.size) for _, a, out in calls]
+        assert wave.residual_sup < 1e-9
+        assert len(transforms) >= 2 * wave.iterations
+        assert max(points) <= n // 4  # no transform of the base path's n/2 points
+        assert 2 * sum(points) <= 1.07 * n * len(transforms)
 
     def test_mixing_keeps_spectrum_consistent(self, monkeypatch):
         # a sweep transforms N = Q^2/2 and then the mixed spectrum, both on

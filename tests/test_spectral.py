@@ -303,7 +303,10 @@ def mirrored(half):
 
 
 class TestEvenRfft:
-    SIZES = [8, 16, 4096, 1 << 16, 1 << 18]
+    # n/2 just below, at and just above spectral._EVEN_BASE (4096), where the
+    # recursion on the even fold starts, and two sizes that recurse three and
+    # five levels
+    SIZES = [8, 16, 4096, 8192, 16384, 1 << 16, 1 << 18]
 
     @staticmethod
     def halves(n, rng):
@@ -326,10 +329,13 @@ class TestEvenRfft:
             assert np.max(np.abs(back - half)) <= 1e-14 * np.max(np.abs(half))
 
     def test_work_buffer_gives_same_result(self, rng):
-        half = rng.standard_normal(4096 + 1)
-        work = np.full(2 * 4096 + 2, np.nan)
-        np.testing.assert_array_equal(_even_rfft(half, np.empty(half.size), work),
-                                      _even_rfft(half, np.empty(half.size)))
+        # at the base and where the recursion runs, no value of the work space
+        # is read before it is written
+        for n in (8192, 1 << 16):
+            half = rng.standard_normal(n // 2 + 1)
+            work = np.full(n + 2, np.nan)
+            np.testing.assert_array_equal(_even_rfft(half, np.empty(half.size), work),
+                                          _even_rfft(half, np.empty(half.size)))
 
     def test_petviashvili_residual_floor(self):
         # the even transform keeps the accuracy of the rfft: the solve reaches
