@@ -6,7 +6,6 @@ from .spectral import (
     RealField,
     apply_multiplier,
     d_alpha,
-    energy_norm,
     field_from_values,
     integrate,
     l2_norm,
@@ -22,6 +21,7 @@ from .functionals import (
     bbm_hamiltonian,
     bbm_quadratic,
     energy_fkdv,
+    energy_norm,
     gn_check,
     mass,
     weinstein,

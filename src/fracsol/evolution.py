@@ -17,13 +17,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError
-from .functionals import Report, bbm_hamiltonian, bbm_quadratic, energy_fkdv, mass
+from .functionals import Report, bbm_hamiltonian, bbm_quadratic, energy_fkdv, energy_norm, mass
 from .ground_state import FBBM, ModelSpec, SolitaryWave, dilate_field
 from .spectral import (
     RealField,
     _same_grid,
     _shift_phase,
-    energy_norm,
     field_from_values,
     quad_form,
 )
@@ -255,7 +254,7 @@ class StabilityReport(Report):
 
 def make_perturbation(Q: SolitaryWave, kind: str, delta: float, seed: int = 0) -> RealField:
     """A perturbation of the requested kind on the grid of Q, normalized so its
-    energy norm (at the alpha of Q) is delta times that of the profile."""
+    energy norm (in the symbol of Q's model) is delta times that of the profile."""
     grid = Q.profile.grid
     if kind == "gaussian":
         raw = field_from_values(grid, np.exp(-((grid.x / 4.0) ** 2)))
@@ -268,10 +267,10 @@ def make_perturbation(Q: SolitaryWave, kind: str, delta: float, seed: int = 0) -
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if delta == 0.0:
         return field_from_values(grid, np.zeros(grid.n))
-    norm = energy_norm(raw, Q.alpha)
+    norm = energy_norm(raw, Q.model.symbol)
     if norm == 0.0:
         raise NumericalError("perturbation construction produced the zero field")
-    return raw * (delta * energy_norm(Q.profile, Q.alpha) / norm)
+    return raw * (delta * energy_norm(Q.profile, Q.model.symbol) / norm)
 
 
 def stability_experiment(
@@ -312,7 +311,7 @@ def stability_experiment(
     sup_d = float(np.max(dists))
     end_d = float(dists[-1])
     drift = trace.conserved_drift()
-    threshold = K * max(delta, DELTA_FLOOR) * energy_norm(Q.profile, Q.alpha)
+    threshold = K * max(delta, DELTA_FLOOR) * energy_norm(Q.profile, Q.model.symbol)
 
     if trace.flag is not None:
         verdict = "growing"

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .spectral import DispersionSymbol, RealField, quad_form
+from .spectral import DispersionSymbol, RealField, _field_form
 
 __all__ = [
     "FunctionalValue",
@@ -23,6 +23,7 @@ __all__ = [
     "mass",
     "energy_fkdv",
     "bbm_quadratic",
+    "energy_norm",
     "bbm_hamiltonian",
     "weinstein",
     "gn_check",
@@ -66,9 +67,8 @@ def energy_fkdv(u: RealField, p_symbol: DispersionSymbol, p: int = 1) -> Functio
     quadratic case p = 1 the potential term is (1/6) int u^3, and it is
     reported as the "cubic" component for every p.
     """
-    grid = u.grid
-    kinetic = 0.5 * quad_form(np.fft.rfft(u.values), grid, p_symbol(grid.xi_r))
-    cubic = grid.dx * np.sum(u.values ** (p + 2)) / ((p + 1) * (p + 2))
+    kinetic = 0.5 * _field_form(u, p_symbol(u.grid.xi_r))
+    cubic = u.grid.dx * np.sum(u.values ** (p + 2)) / ((p + 1) * (p + 2))
     return FunctionalValue(
         name="energy",
         value=kinetic - cubic,
@@ -77,9 +77,13 @@ def energy_fkdv(u: RealField, p_symbol: DispersionSymbol, p: int = 1) -> Functio
 
 
 def bbm_quadratic(u: RealField, p_symbol: DispersionSymbol) -> float:
-    """P(u) = (1/2) int (u^2 + |p(D)^{1/2} u|^2): for |xi|^alpha, half the squared energy norm."""
-    grid = u.grid
-    return 0.5 * quad_form(np.fft.rfft(u.values), grid, 1.0 + p_symbol(grid.xi_r))
+    """P(u) = (1/2) int (u^2 + |p(D)^{1/2} u|^2), half the squared energy norm."""
+    return 0.5 * _field_form(u, 1.0 + p_symbol(u.grid.xi_r))
+
+
+def energy_norm(u: RealField, p_symbol: DispersionSymbol) -> float:
+    """(int u^2 + |p(D)^{1/2} u|^2)^{1/2}, the energy-space norm of symbol p."""
+    return float(np.sqrt(2.0 * bbm_quadratic(u, p_symbol)))
 
 
 def bbm_hamiltonian(u: RealField) -> float:
@@ -97,12 +101,11 @@ def weinstein(u: RealField, alpha: float, p: int = 1) -> float:
     """
     if not (p / (p + 2) < alpha <= 2.0):
         raise ValueError(f"weinstein needs alpha in ({p}/{p + 2}, 2], got {alpha}")
-    v = u.values
-    power = float(u.grid.dx * np.sum(np.abs(v) ** (p + 2)))
+    power = float(u.grid.dx * np.sum(np.abs(u.values) ** (p + 2)))
     if power <= POWER_FLOOR:
         raise ValueError(f"weinstein is undefined: integral of |u|^{p + 2} vanishes")
-    grad_sq = quad_form(np.fft.rfft(v), u.grid, u.grid.xi_r**alpha)
-    l2_sq = float(u.grid.dx * np.sum(v**2))
+    grad_sq = _field_form(u, u.grid.xi_r**alpha)
+    l2_sq = 2.0 * mass(u)
     return (grad_sq ** (0.5 * p / alpha)
             * l2_sq ** (((p + 2) * alpha - p) / (2.0 * alpha)) / power)
 

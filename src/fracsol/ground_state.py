@@ -34,6 +34,7 @@ from .spectral import (
     DispersionSymbol,
     Grid1D,
     RealField,
+    _apply_multiplier_array,
     _chirp_z,
     _even_rfft,
     _same_grid,
@@ -123,9 +124,8 @@ def _nonlinearity(u: np.ndarray, p: int, out: Optional[np.ndarray] = None) -> np
 
 def profile_residual(model: ModelSpec, c: float, u: RealField) -> np.ndarray:
     """Pointwise residual lin(D)u - u^{p+1}/(p+1) of the profile equation."""
-    lin = linear_symbol(model, c, u.grid.xi_r)
-    lin_u = np.fft.irfft(lin * np.fft.rfft(u.values), n=u.grid.n)
-    return lin_u - _nonlinearity(u.values, model.p)
+    lin_u = _apply_multiplier_array(u, linear_symbol(model, c, u.grid.xi_r))
+    return lin_u.values - _nonlinearity(u.values, model.p)
 
 
 def _even_dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -416,12 +416,11 @@ def upsample_field(u: RealField, n_new: int) -> RealField:
     return field_from_values(fine, vals)
 
 
-def solve_refined(model: ModelSpec, c: float, n: int, L: float,
-                  tol: float = 1e-10) -> SolitaryWave:
+def solve_refined(model: ModelSpec, c: float, n: int, L: float) -> SolitaryWave:
     """Petviashvili on the (n, L) grid, seeded through stages of
     max(4096, n // 64) points times powers of 4 below n, each solved to 1e-9
     (at most 2000 sweeps) from its predecessor's upsampled profile; the final
-    solve runs to tol (at most 500 sweeps).  The coarse stages do not resolve
+    solve runs to 1e-10 (at most 500 sweeps).  The coarse stages do not resolve
     the core, so the seeds of the alpha = 0.75 (n 2^19) and 0.7 (n 2^20)
     chains at L = 25600 start at sup residual 0.12-1.36."""
     wave = None
@@ -432,7 +431,7 @@ def solve_refined(model: ModelSpec, c: float, n: int, L: float,
                             seed_profile=seed)
         size *= 4
     seed = None if wave is None else upsample_field(wave.profile, n)
-    return petviashvili(model, c, make_grid(n, L), tol=tol, max_iter=500,
+    return petviashvili(model, c, make_grid(n, L), tol=1e-10, max_iter=500,
                         seed_profile=seed)
 
 

@@ -11,7 +11,9 @@ steppers) manipulates fields through Fourier multipliers on this box:
   periodic integrands,
 * quadratic forms ``int m(D)u u`` are Parseval sums over the one-sided
   spectrum (``quad_form``): each interior mode stands for the pair
-  ``+-xi`` and counts twice, the mean (DC) and Nyquist modes count once,
+  ``+-xi`` and counts twice, the mean (DC) and Nyquist modes count once;
+  the functionals and checks take a field's form (``_field_form``) and
+  each multiplier round trip (``_apply_multiplier_array``) from here,
 * the fractional derivative of order ``s`` is the multiplier ``|xi|**s``,
 * a field is resolved when its top modes carry a negligible share of its
   peak mode (``spectral_tail``),
@@ -47,7 +49,6 @@ __all__ = [
     "apply_multiplier",
     "d_alpha",
     "resolvent",
-    "energy_norm",
     "quad_form",
     "spectral_tail",
     "shift_field",
@@ -260,6 +261,11 @@ def quad_form(uhat: np.ndarray, grid: Grid1D, weight: np.ndarray | float,
     return float(grid.dx / grid.n * (2.0 * np.sum(power) - power[0] - power[-1]))
 
 
+def _field_form(u: RealField, weight: np.ndarray | float) -> float:
+    """int (m(D)u) u dx by quad_form, with weight = m(xi_r)."""
+    return quad_form(np.fft.rfft(u.values), u.grid, weight)
+
+
 TAIL_MODES = 20  # top modes whose amplitude spectral_tail measures
 
 
@@ -269,14 +275,6 @@ def spectral_tail(u: RealField) -> float:
     amp = np.abs(np.fft.rfft(u.values))
     peak = float(amp.max())
     return float(amp[-TAIL_MODES:].max()) / peak if peak > 0 else 0.0
-
-
-def energy_norm(u: RealField, alpha: float) -> float:
-    """The norm (|u|_2^2 + |D^{alpha/2} u|_2^2)^{1/2} of the energy space."""
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError(f"energy_norm needs alpha in (0, 2], got {alpha}")
-    grid = u.grid
-    return float(np.sqrt(quad_form(np.fft.rfft(u.values), grid, 1.0 + grid.xi_r**alpha)))
 
 
 def _shift_phase(grid: Grid1D, y: float) -> np.ndarray:

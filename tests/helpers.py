@@ -1,11 +1,9 @@
 """Shared test utilities: the two-sided wavenumber lattice and the direct
-trigonometric-interpolant evaluator for oracles, a recorder of the library's
-1D transforms, and ``solve_big``, the acceptance suite's name for the
-library's staged solve ``fracsol.solve_refined``."""
+trigonometric-interpolant evaluator for oracles, and a recorder of the
+library's 1D transforms."""
 
 import numpy as np
 
-from fracsol import solve_refined as solve_big
 from fracsol.ground_state import _interp_weights
 
 INTERP_CHUNK = 512  # evaluation points per block of sample_interpolant

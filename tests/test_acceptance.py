@@ -12,8 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from helpers import solve_big
-
 from fracsol import (
     DispersionSymbol,
     ModelSpec,
@@ -25,6 +23,7 @@ from fracsol import (
     minimize_iq,
     petviashvili,
     rescale_solitary,
+    solve_refined,
     weinstein,
 )
 from fracsol.cli import main as cli_main
@@ -67,9 +66,9 @@ def q075_family_large():
     """alpha = 0.75 family on boxes sized per member width."""
     model = ModelSpec(family=FKDV, symbol=POWER(0.75))
     return {
-        0.5: solve_big(model, 0.5, 1 << 20, 25600.0),
-        1.0: solve_big(model, 1.0, *IDENTITY_GRIDS[0.75]),
-        2.0: solve_big(model, 2.0, 1 << 19, 12800.0),
+        0.5: solve_refined(model, 0.5, 1 << 20, 25600.0),
+        1.0: solve_refined(model, 1.0, *IDENTITY_GRIDS[0.75]),
+        2.0: solve_refined(model, 2.0, 1 << 19, 12800.0),
     }
 
 
@@ -97,7 +96,7 @@ def test_criterion_02_identity_suite_battery():
     details = []
     ok = True
     for alpha, (n, L) in IDENTITY_GRIDS.items():
-        wave = solve_big(ModelSpec(family=FKDV, symbol=POWER(alpha)), 1.0, n, L)
+        wave = solve_refined(ModelSpec(family=FKDV, symbol=POWER(alpha)), 1.0, n, L)
         reports = identity_suite(wave, tolerance=1e-6)
         worst = max(r.relative_residual for r in reports)
         ok = ok and all(r.passed for r in reports)
@@ -111,9 +110,9 @@ def test_criterion_03_weinstein_constancy(q075_family_large):
     for alpha in (0.6, 0.8):
         model = ModelSpec(family=FKDV, symbol=POWER(alpha))
         js = [
-            weinstein(solve_big(model, 0.5, 1 << 21, 32000.0).profile, alpha),
-            weinstein(solve_big(model, 1.0, 1 << 21, 32000.0).profile, alpha),
-            weinstein(solve_big(model, 2.0, 1 << 21, 16000.0).profile, alpha),
+            weinstein(solve_refined(model, 0.5, 1 << 21, 32000.0).profile, alpha),
+            weinstein(solve_refined(model, 1.0, 1 << 21, 32000.0).profile, alpha),
+            weinstein(solve_refined(model, 2.0, 1 << 21, 16000.0).profile, alpha),
         ]
         spread = (max(js) - min(js)) / min(js)
         ok = ok and spread < 1e-6
@@ -131,7 +130,7 @@ def test_criterion_03_weinstein_constancy(q075_family_large):
 def test_criterion_04_minimizer_ground_state_correspondence():
     alpha = 0.75
     grid = make_grid(32768, 1600.0)
-    Q1 = solve_big(ModelSpec(family=FKDV, symbol=POWER(alpha)), 1.0, 32768, 1600.0)
+    Q1 = solve_refined(ModelSpec(family=FKDV, symbol=POWER(alpha)), 1.0, 32768, 1600.0)
     q = mass(Q1.profile)
     res = minimize_iq(q, alpha, grid)
     c_star = cstar(q, 2.0 * mass(Q1.profile), alpha)
@@ -140,7 +139,7 @@ def test_criterion_04_minimizer_ground_state_correspondence():
     rel_E = abs(res.I_q - E_pred) / abs(E_pred)
     Qs = rescale_solitary(Q1, c_star)
     dist, _ = orbital_distance(res.profile, Qs)
-    rel_dist = dist / energy_norm(Qs.profile, alpha)
+    rel_dist = dist / energy_norm(Qs.profile, POWER(alpha))
     ok = rel_theta < 1e-4 and rel_E < 1e-4 and rel_dist < 1e-3 and res.I_q < 0.0
     announce(4, "minimizer = rescaled ground state", ok,
              f"theta rel {rel_theta:.1e}, E rel {rel_E:.1e}, "
@@ -150,7 +149,7 @@ def test_criterion_04_minimizer_ground_state_correspondence():
 def test_criterion_05_iq_scaling_law():
     alpha = 0.75
     grid = make_grid(32768, 400.0)
-    Q = solve_big(ModelSpec(family=FKDV, symbol=POWER(alpha)), 1.0, 32768, 400.0)
+    Q = solve_refined(ModelSpec(family=FKDV, symbol=POWER(alpha)), 1.0, 32768, 400.0)
     result = iq_scaling_check(alpha, mass(Q.profile), [2.0], grid, tolerance=1e-3)
     ratio = next(r for r in result.checks if r.name.startswith("iq_scaling"))
     ok = ratio.passed

@@ -38,6 +38,12 @@ def wave8(grid8):
 
 
 @pytest.fixture(scope="module")
+def whitham_wave(grid_desk):
+    return petviashvili(ModelSpec(family=FKDV, symbol=DispersionSymbol.whitham()),
+                        1.2, grid_desk)
+
+
+@pytest.fixture(scope="module")
 def bbm8(grid8):
     model = ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived")
     return petviashvili(model, 2.0, grid8)
@@ -164,7 +170,7 @@ class TestOrbitalDistance:
         g = wave8.profile.grid
         bump = field_from_values(g, 0.05 * np.exp(-((g.x - 3.0) / 2.0) ** 2))
         dist, _ = orbital_distance(wave8.profile + bump, wave8)
-        assert dist <= energy_norm(bump, 0.75) + 1e-12
+        assert dist <= energy_norm(bump, POWER(0.75)) + 1e-12
 
     def test_matches_brute_force_scan(self, wave8):
         g = wave8.profile.grid
@@ -194,14 +200,13 @@ class TestOrbitalDistance:
         # C vanishes identically, so the curvature guard stops the refinement
         g = wave8.profile.grid
         dist, y_star = orbital_distance(field_from_values(g, np.zeros(g.n)), wave8)
-        assert dist == energy_norm(wave8.profile, 0.75)
+        assert dist == energy_norm(wave8.profile, POWER(0.75))
         assert y_star == 0.0
 
-    def test_whitham_distance_is_the_model_s_energy_norm(self, grid_desk):
+    def test_whitham_distance_is_the_model_s_energy_norm(self, grid_desk, whitham_wave):
         # the weight is 1 + p(xi) of the wave's symbol: for Whitham the
         # zero field sits at sqrt(2 * quadratic(Q)), not at sqrt(2) ||Q||_2
-        wave = petviashvili(ModelSpec(family=FKDV, symbol=DispersionSymbol.whitham()),
-                            1.2, grid_desk)
+        wave = whitham_wave
         dist, _ = orbital_distance(field_from_values(grid_desk, np.zeros(grid_desk.n)), wave)
         expected = np.sqrt(2.0 * bbm_quadratic(wave.profile, wave.model.symbol))
         assert abs(dist - expected) <= 1e-12 * expected
@@ -235,8 +240,8 @@ class TestPerturbations:
     @pytest.mark.parametrize("kind", ["gaussian", "dilation", "random"])
     def test_normalization(self, wave8, kind):
         pert = make_perturbation(wave8, kind, 0.01, seed=3)
-        target = 0.01 * energy_norm(wave8.profile, 0.75)
-        assert abs(energy_norm(pert, 0.75) - target) < 1e-12 * target
+        target = 0.01 * energy_norm(wave8.profile, POWER(0.75))
+        assert abs(energy_norm(pert, POWER(0.75)) - target) < 1e-12 * target
 
     def test_zero_delta(self, wave8):
         pert = make_perturbation(wave8, "gaussian", 0.0)
@@ -250,6 +255,17 @@ class TestPerturbations:
         a = make_perturbation(wave8, "random", 0.01, seed=5)
         b = make_perturbation(wave8, "random", 0.01, seed=5)
         np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestMakePerturbation:
+    def test_whitham_wave_is_sized_in_its_own_norm(self, whitham_wave):
+        # the perturbation size is measured in 1 + p(xi) of the wave's own
+        # symbol, the norm orbital_distance measures in
+        symbol = whitham_wave.model.symbol
+        target = 0.01 * energy_norm(whitham_wave.profile, symbol)
+        for kind in ("gaussian", "dilation", "random"):
+            pert = make_perturbation(whitham_wave, kind, 0.01)
+            assert abs(energy_norm(pert, symbol) - target) <= 1e-12 * target, kind
 
 
 class TestStabilityExperiment:

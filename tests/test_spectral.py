@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import re
@@ -13,6 +14,7 @@ from fracsol import (
     DispersionSymbol,
     ModelSpec,
     apply_multiplier,
+    bbm_quadratic,
     d_alpha,
     energy_norm,
     field_from_values,
@@ -28,6 +30,7 @@ from fracsol import (
 from fracsol.spectral import _even_rfft
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fracsol"
+POWER = DispersionSymbol.power
 
 
 def band_limited(grid, rng, n_modes=50):
@@ -184,23 +187,30 @@ class TestResolvent:
 class TestEnergyNorm:
     def test_zero_field(self):
         g = make_grid(64, 5.0)
-        assert energy_norm(field_from_values(g, np.zeros(g.n)), 1.0) == 0.0
+        assert energy_norm(field_from_values(g, np.zeros(g.n)), POWER(1.0)) == 0.0
 
     def test_sine_on_pi_box(self):
         g = make_grid(256, np.pi)
         u = field_from_values(g, np.sin(g.x))
-        np.testing.assert_allclose(energy_norm(u, 1.0), np.sqrt(2.0 * np.pi), rtol=1e-13)
+        np.testing.assert_allclose(energy_norm(u, POWER(1.0)), np.sqrt(2.0 * np.pi), rtol=1e-13)
 
     def test_monotone_in_alpha_above_unit_frequency(self):
         g = make_grid(256, np.pi)
         u = field_from_values(g, np.sin(2.0 * g.x) + 0.5 * np.cos(3.0 * g.x))
-        norms = [energy_norm(u, a) for a in (0.4, 0.8, 1.2, 1.6, 2.0)]
+        norms = [energy_norm(u, POWER(a)) for a in (0.4, 0.8, 1.2, 1.6, 2.0)]
         assert all(b >= a for a, b in zip(norms, norms[1:]))
 
-    def test_rejects_alpha_out_of_range(self, bo_wave):
+    def test_rejects_alpha_out_of_range(self):
+        # the norm takes a symbol, and the symbol owns the alpha range
         for alpha in (0.0, -1.0, 2.5):
-            with pytest.raises(ValueError):
-                energy_norm(bo_wave.profile, alpha)
+            with pytest.raises(ValueError, match="alpha in"):
+                POWER(alpha)
+
+    def test_whitham_is_twice_the_bbm_quadratic(self, rng):
+        g = make_grid(256, 15.0)
+        u = band_limited(g, rng, 60)
+        whitham = DispersionSymbol.whitham()
+        assert energy_norm(u, whitham) == np.sqrt(2.0 * bbm_quadratic(u, whitham))
 
 
 class TestShiftField:
@@ -237,7 +247,8 @@ class TestShiftField:
         y = 3.71234
         v = shift_field(u, y)
         assert abs(l2_norm(v) - l2_norm(u)) < 1e-12 * l2_norm(u)
-        assert abs(energy_norm(v, 0.8) - energy_norm(u, 0.8)) < 1e-12 * energy_norm(u, 0.8)
+        norm = energy_norm(u, POWER(0.8))
+        assert abs(energy_norm(v, POWER(0.8)) - norm) < 1e-12 * norm
 
 
 class TestAlgebraicProperties:
@@ -381,6 +392,24 @@ class TestKernelOwnership:
                 if complex_1d or lattice:
                     offenders.append(f"{path.name}:{lineno}: {line.strip()}")
         assert not offenders, "\n".join(offenders)
+
+    def test_functionals_and_checks_transform_through_spectral(self):
+        """functionals takes no transform of its own, verification only the
+        irfft that draws its random fields, and no module outside spectral
+        spells out the multiplier round trip irfft(m * rfft(u))."""
+        offenders = [f"functionals.py:{i}" for i, line in enumerate(
+            (SRC / "functionals.py").read_text().splitlines(), start=1) if "np.fft" in line]
+        source = (SRC / "verification.py").read_text()
+        draw = next(node for node in ast.parse(source).body
+                    if getattr(node, "name", None) == "_random_low_modes")
+        offenders += [f"verification.py:{i}" for i, line in enumerate(source.splitlines(), start=1)
+                      if "np.fft" in line and not draw.lineno <= i <= draw.end_lineno]
+        for path in sorted(SRC.glob("*.py")):
+            if path.name != "spectral.py":
+                offenders += [f"{path.name}:{i}" for i, line in enumerate(
+                    path.read_text().splitlines(), start=1)
+                    if re.search(r"irfft\(.*\*\s*np\.fft\.rfft\(", line)]
+        assert not offenders, offenders
 
     def test_import_loads_no_scipy(self):
         """numpy is the only dependency: importing the package loads no scipy

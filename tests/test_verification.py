@@ -10,6 +10,7 @@ from fracsol import (
     field_from_values,
     make_grid,
     petviashvili,
+    solve_refined,
     weinstein,
 )
 from fracsol import verification
@@ -39,10 +40,8 @@ class TestIdentitySuite:
     def test_all_pass_on_large_box(self):
         # periodization of the worst row scales like (pi/L)^(1+alpha) with an
         # O(4x) amplification over the pohozaev row; this box meets 1e-6
-        from helpers import solve_big
-
-        wave = solve_big(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0,
-                         524288, 25600.0)
+        wave = solve_refined(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0,
+                             524288, 25600.0)
         reports = identity_suite(wave, tolerance=1e-6)
         assert all(r.passed for r in reports), [
             (r.name, r.relative_residual) for r in reports]
@@ -184,18 +183,16 @@ class TestCommutatorDecay:
 class TestIqScaling:
     def test_theta_one_is_exact(self):
         grid = make_grid(2048, 100.0)
-        result = iq_scaling_check(0.75, 4.0, [1.0], grid, tolerance=1e-10,
-                                  mass_law_tolerance=1e-8,
-                                  energy_law_tolerance=1e-2)
+        result = iq_scaling_check(0.75, 4.0, [1.0], grid, tolerance=1e-10)
         ratio = next(r for r in result.checks if r.name.startswith("iq_scaling"))
         assert ratio.passed
 
     def test_plumbing_at_desk_scale(self):
         grid = make_grid(4096, 200.0)
-        result = iq_scaling_check(0.75, 4.0, [2.0], grid, tolerance=5e-2,
-                                  mass_law_tolerance=5e-4,
-                                  energy_law_tolerance=5e-2)
-        assert all(r.passed for r in result.checks)
+        result = iq_scaling_check(0.75, 4.0, [2.0], grid, tolerance=5e-2)
+        bounds = {"iq_scaling": 5e-2, "mass_law": 5e-4, "energy_law": 5e-2}
+        for r in result.checks:
+            assert r.relative_residual < bounds[r.name.rsplit("_theta_", 1)[0]], r.name
         # resolved as given: no refinement
         assert result.n == 4096 and result.tail <= 1e-4
 
