@@ -19,6 +19,8 @@ written), 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import contextvars
+import io
 import json
 import os
 import sys
@@ -125,21 +127,35 @@ def _floats(cs: str) -> list:
     return [float(tok) for tok in cs.split(",") if tok.strip()]
 
 
+# the console of the running command: a sweep point's buffer in its worker
+# thread, sys.stdout (looked up at each write) everywhere else
+_CONSOLE = contextvars.ContextVar("console", default=None)
+
+
+def _stdout():
+    console = _CONSOLE.get()
+    return sys.stdout if console is None else console
+
+
+def _say(*args, **kwargs):
+    print(*args, file=_stdout(), **kwargs)
+
+
 def _write_report(report: dict, cfg: dict, path):
     report = dict(report)
     report["config"] = {k: v for k, v in sorted(cfg.items())}
     if path:
         fio.dump_json(report, path)
     else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        json.dump(report, _stdout(), indent=2, sort_keys=True)
+        _say()
 
 
 def _print_table(reports):
     for r in reports:
         status = "pass" if r.passed else "FAIL"
-        print(f"  {r.name:<24} lhs={r.lhs: .9e} rhs={r.rhs: .9e} "
-              f"rel={r.relative_residual:.3e} [{status}]")
+        _say(f"  {r.name:<24} lhs={r.lhs: .9e} rhs={r.rhs: .9e} "
+             f"rel={r.relative_residual:.3e} [{status}]")
 
 
 # -- commands -------------------------------------------------------------------
@@ -162,8 +178,8 @@ def cmd_ground_state(cfg, args) -> int:
         "identities": [r.to_dict() for r in reports],
     }
     _write_report(payload, cfg, cfg["report"])
-    print(f"ground-state: c={cfg['c']} residual_sup={wave.residual_sup:.3e} "
-          f"iterations={wave.iterations}")
+    _say(f"ground-state: c={cfg['c']} residual_sup={wave.residual_sup:.3e} "
+         f"iterations={wave.iterations}")
     _print_table(reports)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -200,8 +216,8 @@ def cmd_verify(cfg, args) -> int:
     }
     _write_report(payload, cfg, cfg["report"])
     _print_table(reports + poho)
-    print(f"  weinstein spread {spread:.3e} [{'pass' if spread_ok else 'FAIL'}]")
-    print(f"  gn scan min ratio {scan.min_ratio:.9f} [{'pass' if scan.passed else 'FAIL'}]")
+    _say(f"  weinstein spread {spread:.3e} [{'pass' if spread_ok else 'FAIL'}]")
+    _say(f"  gn scan min ratio {scan.min_ratio:.9f} [{'pass' if scan.passed else 'FAIL'}]")
     ok = (all(r.passed for r in reports) and all(r.passed for r in poho)
           and spread_ok and scan.passed)
     return 0 if ok else 1
@@ -228,8 +244,8 @@ def cmd_evolve(cfg, args) -> int:
         ),
     }
     _write_report(payload, cfg, cfg["report"])
-    print(f"evolve: T={cfg['T']} dt={dt:.5g} drift={payload['drift']:.3e} "
-          f"flag={trace.flag}")
+    _say(f"evolve: T={cfg['T']} dt={dt:.5g} drift={payload['drift']:.3e} "
+         f"flag={trace.flag}")
     return 1 if trace.flag else 0
 
 
@@ -243,8 +259,8 @@ def cmd_stability(cfg, args) -> int:
     if cfg["out"]:
         fio.save_trace(trace, cfg["out"])
     _write_report(report.to_dict(), cfg, cfg["report"])
-    print(f"stability: verdict={report.verdict} sup={report.sup_distance:.4e} "
-          f"threshold={report.threshold:.4e} drift={report.conserved_drift:.2e}")
+    _say(f"stability: verdict={report.verdict} sup={report.sup_distance:.4e} "
+         f"threshold={report.threshold:.4e} drift={report.conserved_drift:.2e}")
     return 0 if report.verdict != "growing" else 1
 
 
@@ -263,8 +279,8 @@ def cmd_minimize_iq(cfg, args) -> int:
         "converged": res.converged,
         "negative": res.I_q < 0,
     }, cfg, cfg["report"])
-    print(f"minimize-iq: q={res.q:.6g} theta={res.theta:.8g} I_q={res.I_q:.8g} "
-          f"({res.iterations} iterations)")
+    _say(f"minimize-iq: q={res.q:.6g} theta={res.theta:.8g} I_q={res.I_q:.8g} "
+         f"({res.iterations} iterations)")
     return 0 if (res.converged and res.I_q < 0) else 1
 
 
@@ -274,7 +290,7 @@ def cmd_iq_scaling(cfg, args) -> int:
                               grid, tolerance=cfg["tol"])
     _write_report({"n": result.n, "tail": result.tail,
                    "checks": [r.to_dict() for r in result.checks]}, cfg, cfg["report"])
-    print(f"iq-scaling: n={result.n} tail={result.tail:.2e}")
+    _say(f"iq-scaling: n={result.n} tail={result.tail:.2e}")
     _print_table(result.checks)
     return 0 if all(r.passed for r in result.checks) else 1
 
@@ -297,8 +313,8 @@ def cmd_commutator(cfg, args) -> int:
     payload = decay.to_dict()
     payload.update({"target_slope": target, "checked": checked, "pass": ok})
     _write_report(payload, cfg, cfg["report"])
-    print(f"commutator: slope={decay.slope:.4f} target={target:.4f} "
-          f"[{'pass' if ok else 'FAIL' if checked else 'measured'}]")
+    _say(f"commutator: slope={decay.slope:.4f} target={target:.4f} "
+         f"[{'pass' if ok else 'FAIL' if checked else 'measured'}]")
     return 0 if ok else 1
 
 
@@ -332,8 +348,8 @@ def cmd_kp_check(cfg, args) -> int:
         "blt_amplitude_invariant": amp_invariant,
         "pass": ok,
     }, cfg, cfg["report"])
-    print(f"kp-check: worst chain residual {worst:.2e}, blt ratio range "
-          f"[{min(ratios):.4f}, {max(ratios):.4f}] [{'pass' if ok else 'FAIL'}]")
+    _say(f"kp-check: worst chain residual {worst:.2e}, blt ratio range "
+         f"[{min(ratios):.4f}, {max(ratios):.4f}] [{'pass' if ok else 'FAIL'}]")
     return 0 if ok else 1
 
 
@@ -366,22 +382,31 @@ def cmd_sweep(cfg, args) -> int:
         if cfg["command"] in ("ground-state", "minimize-iq"):
             argv += ["--out", os.path.join(pt_dir, "profile.csv")]
         entry = {"point": dict(pt), "dir": pt_dir}
+        # the point prints into its own buffer, so points can finish in any order
+        console = io.StringIO()
+        token = _CONSOLE.set(console)
         try:
             entry["exit_code"] = main(argv)
         except SystemExit:  # argparse rejected the point's flags
             entry["exit_code"] = 2
         except Exception as exc:  # one failing point must not abort the pool
             entry.update(exit_code=1, error=type(exc).__name__, message=str(exc))
-        return entry
+        finally:
+            _CONSOLE.reset(token)
+        return entry, console.getvalue()
 
+    index = []
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        index = list(pool.map(run_point, enumerate(points)))
+        # map yields in point order, so each point's output follows the one before
+        for entry, printed in pool.map(run_point, enumerate(points)):
+            _say(printed, end="")
+            index.append(entry)
     payload = {"command": cfg["command"], "points": index}
     fio.dump_json(payload, os.path.join(cfg["out"], "index.json"))
     if cfg["report"]:
         _write_report(payload, cfg, cfg["report"])
     worst = max(entry["exit_code"] for entry in index)
-    print(f"sweep: {len(index)} points, worst exit code {worst}")
+    _say(f"sweep: {len(index)} points, worst exit code {worst}")
     return worst
 
 

@@ -295,8 +295,12 @@ def stability_experiment(
     without a rate.  The orbital distance is recorded every 0.25 time units
     (every step when dt is longer).  The identity gate runs at gate_tolerance,
     loose enough for the periodization level of desk-scale boxes while still
-    rejecting unconverged or perturbed profiles.
+    rejecting unconverged or perturbed profiles.  delta must be finite and
+    >= 0: a negative one flips the perturbation while the threshold falls to
+    the floor.
     """
+    if not (delta >= 0 and np.isfinite(delta)):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     gate = identity_suite(Q, tolerance=gate_tolerance)
     bad = [r.name for r in gate if not r.passed]
     if bad:

@@ -64,7 +64,7 @@ GFKDV = "gfkdv"
 ZERO_COLLAPSE = 1e-8
 DILATE_TAPER = 0.1   # outer fraction of a dilated support rolled off to zero
 STEP = 0.9           # step length of the preconditioned I_q flow
-MIX_DEPTH = 3        # Anderson depth m: a Petviashvili mix combines the last m + 1 sweeps
+MIX_DEPTH = 4        # Anderson depth m: a Petviashvili mix combines the last m + 1 sweeps
 MIX_COND = 1e12      # condition bound of the normalized Gram matrix of a mix
 
 
@@ -113,11 +113,17 @@ def linear_symbol(model: ModelSpec, c: float, xi: np.ndarray) -> np.ndarray:
     return c + model.symbol(xi)
 
 
-def _nonlinearity(u: np.ndarray, p: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """u^{p+1}/(p+1), written into out when given."""
+def _power_p1(u: np.ndarray, p: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """u^{p+1}, written into out when given."""
     out = np.multiply(u, u, out=out)
     for _ in range(p - 1):
         out *= u
+    return out
+
+
+def _nonlinearity(u: np.ndarray, p: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """u^{p+1}/(p+1), written into out when given."""
+    out = _power_p1(u, p, out=out)
     out /= p + 1
     return out
 
@@ -126,6 +132,11 @@ def profile_residual(model: ModelSpec, c: float, u: RealField) -> np.ndarray:
     """Pointwise residual lin(D)u - u^{p+1}/(p+1) of the profile equation."""
     lin_u = _apply_multiplier_array(u, linear_symbol(model, c, u.grid.xi_r))
     return lin_u.values - _nonlinearity(u.values, model.p)
+
+
+def _sup(a: np.ndarray) -> float:
+    """max |a| from the two extremes, without writing |a|; NaN if a holds one."""
+    return float(max(a.max(), -a.min()))
 
 
 def _even_dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -274,14 +285,25 @@ def petviashvili(
 
     The iterate is carried in Fourier space as well: Q_hat is computed once
     from the seed, the numerator of S is the Parseval sum over Q_hat, and
-    G_j, F_j and the mix are spectra.  So a sweep takes two even transforms,
-    of the nonlinearity and of the mixed spectrum: about n transform points
-    (n + 4096 above n = 8192, 1.5 n up to it); the residual check reuses
-    Q_hat and adds one, and its sup and l^2 norms are the reported
-    residuals.  The sweeps run in preallocated buffers: the samples, Q_hat,
-    the transform's work space and a ring of 2 (MIX_DEPTH + 1) spectra.  The
-    nonlinearity, the new samples, the sup change and the residual check use
-    the ring slots outside the history.
+    G_j, F_j and the mix are spectra.  Every spectrum is carried scaled by
+    1/n, so the even transform of Q_hat is Q itself, and the 1/n and the
+    1/(p+1) of the nonlinearity fold into the one scalar S^gamma / ((p+1) n)
+    of the transform of Q^{p+1}.  So a sweep takes two even transforms, of
+    Q^{p+1} and of the mixed spectrum: about n transform points (n + 4096
+    above n = 8192, 1.5 n up to it).  Besides them and the mix it makes 13
+    passes over n/2 + 1 values: Q^{p+1} and its even sum with Q; the
+    product (c + p(D)) Q_hat, which gives the numerator of S in one even sum
+    and F_k in one subtraction; the scaling of G_k and its division by
+    c + p(D); and the sup change and the sup, each read as a max and a min
+    of the difference and of the new samples, which are copied into place.
+    The residual check reuses Q_hat and adds one transform, and its sup and
+    l^2 norms are the reported residuals.  The sweeps run in preallocated
+    buffers: the samples, Q_hat, the transform's work space and a ring of
+    2 (MIX_DEPTH + 1) spectra.  The nonlinearity, the new samples, the sup
+    change and the residual check use the ring slots outside the history.
+    MIX_DEPTH = 4 is the depth measured to take the fewest sweeps on the
+    staged chains and the desk grid; depths 5 and 6 took more on the desk
+    solve and on Whitham, and each slot costs two rows of n/2 + 1 values.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -308,7 +330,9 @@ def petviashvili(
     np.add(seed[1:half], seed[:half - 2:-1], out=q[1:])
     q[1:] *= 0.5
     work = np.empty(n + 2)
+    # spectra are carried scaled by 1/n, so the even transform of Q_hat is Q
     qhat = _even_rfft(q, np.empty(half), work)
+    qhat *= 1.0 / n
     ring = np.zeros((2, depth, half))
     G, F = ring
     gram = np.zeros((depth, depth))
@@ -317,27 +341,28 @@ def petviashvili(
         k, k_next = (n_iter - 1) % depth, n_iter % depth
         if hist and hist[0] == k:
             del hist[0]
-        # slot k is free until its transform: F[k] holds the nonlinearity,
-        # G[k] the work space of the Parseval sum
-        nl = _nonlinearity(q, p, out=F[k])
+        # slot k is free until the mix: F[k] holds Q^{p+1} and then (c + p(D)) Q_hat,
+        # G[k] the transform of Q^{p+1}
+        nl = _power_p1(q, p, out=F[k])
         denom = _even_dot(q, nl)
         if denom == 0.0 or not np.isfinite(denom):
             raise NumericalError("Petviashvili normalization degenerated")
-        s = quad_form(qhat, grid, lin, work=G[k]) / (grid.dx * denom)
         _even_rfft(nl, G[k], work)
-        G[k] *= s**gamma
+        lin_q = np.multiply(lin, qhat, out=F[k])
+        # Parseval: <Q, (c + p(D))Q> = n dx _even_dot(lin_q, Q_hat) for the scaled spectrum
+        s = (p + 1) * n * _even_dot(lin_q, qhat) / denom
+        G[k] *= s**gamma / ((p + 1) * n)
         # F holds (c + p(D)) F_k, so the Gram matrix is in the equation-residual norm
-        np.subtract(G[k], np.multiply(lin, qhat, out=F[k]), out=F[k])
+        np.subtract(G[k], lin_q, out=F[k])
         G[k] /= lin
         _anderson_mix(G, F, gram, hist, k, out=qhat)
         # the next sweep's slot has left the history: G[k_next] takes the new
         # samples and F[k_next] is work space until that sweep
         q_new = _even_rfft(qhat, G[k_next], work)
-        q_new *= 1.0 / n
         scratch = F[k_next]
-        change = float(np.max(np.abs(np.subtract(q_new, q, out=scratch), out=scratch)))
+        change = _sup(np.subtract(q_new, q, out=scratch))
         np.copyto(q, q_new)
-        sup = float(np.max(np.abs(q, out=scratch)))
+        sup = _sup(q)
         if not np.isfinite(sup) or sup > 1e8:
             raise NumericalError(f"Petviashvili iteration diverged at step {n_iter}")
         if sup < ZERO_COLLAPSE:
@@ -347,9 +372,8 @@ def petviashvili(
         if change < tol:
             # the residual lin(D)Q - Q^{p+1}/(p+1) on the half-grid
             r = _even_rfft(np.multiply(lin, qhat, out=scratch), q_new, work)
-            r *= 1.0 / n
             r -= _nonlinearity(q, p, out=scratch)
-            residual_sup = float(np.max(np.abs(r, out=scratch)))
+            residual_sup = _sup(r)
             if residual_sup < 10.0 * tol:
                 break
     else:
@@ -360,7 +384,7 @@ def petviashvili(
     residual_l2 = float(np.sqrt(grid.dx * _even_dot(r, r)))
     if q.max() <= 0:
         raise NumericalError("converged profile has non-positive maximum")
-    del ring, G, F, nl, q_new, scratch, r, work  # free the sweep buffers before the profile
+    del ring, G, F, nl, lin_q, q_new, scratch, r, work  # free the sweep buffers before the profile
     values = np.empty(n)
     values[:half] = q
     values[half:] = q[-2:0:-1]

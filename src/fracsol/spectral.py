@@ -29,11 +29,15 @@ steppers) manipulates fields through Fourier multipliers on this box:
   inverse up to the factor 1/n.
 
 Grids and fields are immutable after construction and safe to share between
-concurrently running solves.
+concurrently running solves.  ``make_grid`` interns grids by (n, L) for as
+long as a reference to one is held, so a resampled seed and the solve it
+seeds share one copy of ``x`` and ``xi_r``.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -75,17 +79,29 @@ class Grid1D:
     xi_r: np.ndarray
 
 
+_GRIDS = weakref.WeakValueDictionary()  # (n, L) -> Grid1D
+_GRIDS_LOCK = threading.Lock()
+
+
 def make_grid(n: int, L: float) -> Grid1D:
-    """Build the periodic grid with n samples (power of two, >= 8) on [-L, L)."""
+    """The periodic grid with n samples (power of two, >= 8) on [-L, L).
+
+    Grids are interned by (n, L): while any reference to one is held, the same
+    n and L return that grid instead of a second copy of x and xi_r."""
     if n < 8 or (n & (n - 1)) != 0:
         raise ValueError(f"n must be a power of two with n >= 8, got {n}")
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
     L = float(L)
-    dx = 2.0 * L / n  # exact: division by a power of two
-    x = -L + dx * np.arange(n)
-    xi_r = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
-    return Grid1D(n=n, L=L, dx=dx, x=_readonly(x), xi_r=_readonly(xi_r))
+    with _GRIDS_LOCK:
+        grid = _GRIDS.get((n, L))
+        if grid is None:
+            dx = 2.0 * L / n  # exact: division by a power of two
+            x = -L + dx * np.arange(n)
+            xi_r = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
+            grid = Grid1D(n=n, L=L, dx=dx, x=_readonly(x), xi_r=_readonly(xi_r))
+            _GRIDS[n, L] = grid
+    return grid
 
 
 @dataclass(frozen=True, eq=False)

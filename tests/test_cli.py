@@ -264,6 +264,14 @@ class TestOtherCommands:
         payload = json.load(open(report))
         assert payload["error"] == "ValueError"
 
+    def test_stability_negative_delta_exit_2(self, tmp_path):
+        report = str(tmp_path / "s.json")
+        assert main(["stability", "--delta", "-0.01", "--n", "4096", "--L", "200",
+                     "--report", report]) == 2
+        payload = json.load(open(report))
+        assert payload["error"] == "ValueError"
+        assert "delta" in payload["message"]
+
     @pytest.mark.parametrize("argv", [
         ["evolve", "--dt", "-1"],
         ["evolve", "--dt", "nan"],
@@ -354,6 +362,20 @@ class TestSweep:
         assert written.pop("config")["report"] == str(report)
         assert written == index
         assert os.path.exists(os.path.join(index["points"][0]["dir"], "report.json"))
+
+    def test_stdout_follows_point_order(self, tmp_path, capsys):
+        # the 4096-point solve finishes first, yet its line comes second
+        out = str(tmp_path / "sweep6")
+        main(["sweep", "--command", "ground-state", "--param", "n=16384,4096",
+              "--jobs", "2", "--out", out])
+        index = json.load(open(os.path.join(out, "index.json")))
+        assert [entry["point"]["n"] for entry in index["points"]] == ["16384", "4096"]
+        reports = [json.load(open(os.path.join(entry["dir"], "report.json")))
+                   for entry in index["points"]]
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("ground-state:")]
+        assert printed == [f"ground-state: c=1.0 residual_sup={r['residual_sup']:.3e} "
+                           f"iterations={r['iterations']}" for r in reports]
 
     def test_sweep_requires_params(self, tmp_path):
         assert main(["sweep", "--command", "ground-state",

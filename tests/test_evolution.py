@@ -289,6 +289,12 @@ class TestStabilityExperiment:
                                          gate_tolerance=np.inf)
         assert report.verdict in ("bounded", "growing", "inconclusive")
 
+    @pytest.mark.parametrize("delta", [-0.01, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_delta(self, wave8, delta):
+        # a negative delta flipped the kick and dropped the threshold to the floor
+        with pytest.raises(ValueError, match="delta"):
+            stability_experiment(wave8, delta, "gaussian", 1.0, 2.0**-9)
+
     def test_gfkdv_passes_the_gate(self, grid_desk):
         # the gate checks the p = 2 identities, not the quadratic ones
         Q = petviashvili(ModelSpec(family=GFKDV, symbol=POWER(1.5), p=2), 1.0, grid_desk)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -191,47 +192,51 @@ class TestPetviashvili:
         assert 2 * sum(points) <= 1.07 * n * len(transforms)
 
     def test_mixing_keeps_spectrum_consistent(self, monkeypatch):
-        # a sweep transforms N = Q^2/2 and then the mixed spectrum, both on
-        # the even half-grid.  S taken from the carried real spectrum (its
-        # Parseval numerator) must match S of the half samples the previous
-        # sweep returned on every sweep, with the numerator recomputed from
-        # the full-grid rfft of their even extension: the map absorbs a
-        # stale spectrum into one S, so the sweep count and the final
-        # residual alone would not show it
+        # a sweep transforms Q^2 and then the mixed spectrum, both on the even
+        # half-grid, with every spectrum scaled by 1/n.  S taken from the
+        # carried real spectrum (its Parseval numerator, the even sum of
+        # (c + p(D)) Q_hat with Q_hat) must match S of the half samples the
+        # previous sweep returned on every sweep, with the numerator
+        # recomputed from the full-grid rfft of their even extension: the map
+        # absorbs a stale spectrum into one S, so the sweep count and the
+        # final residual alone would not show it
         events = []
 
-        def spy_quad_form(*args, _original=ground_state.quad_form, **kwargs):
-            events.append(("numerator", _original(*args, **kwargs)))
-            return events[-1][1]
+        def spy_even_dot(a, b, _original=ground_state._even_dot):
+            events.append(("dot", a.copy(), _original(a, b)))
+            return events[-1][2]
 
         def spy_even_rfft(x, out, work=None, _original=ground_state._even_rfft):
             events.append(("transform", x.copy(), _original(x, out, work).copy()))
             return out
 
-        monkeypatch.setattr(ground_state, "quad_form", spy_quad_form)
+        monkeypatch.setattr(ground_state, "_even_dot", spy_even_dot)
         monkeypatch.setattr(ground_state, "_even_rfft", spy_even_rfft)
         grid = make_grid(8192, 200.0)
         n, tol = grid.n, 1e-12
         wave = petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, grid, tol=tol)
         monkeypatch.undo()
-        # each sweep: its numerator, then the transforms of N and of the mix
-        starts = [i for i, e in enumerate(events) if e[0] == "numerator"]
+        # each sweep: the denominator, the transform of Q^2, the numerator and
+        # the transform of the mix; residual checks add a transform, the
+        # reported l^2 residual a final sum
+        kinds = "".join(e[0][0] for e in events)
+        starts = [m.start() for m in re.finditer("dtdt", kinds)]
         assert len(starts) == wave.iterations
-        assert all(events[i + 1][0] == events[i + 2][0] == "transform" for i in starts)
-        sweeps = [(events[i][1], events[i + 1][1:], events[i + 2][1:]) for i in starts]
+        sweeps = [events[i:i + 4] for i in starts]
         lin = 1.0 + grid.xi_r**0.75
         mixed = 0
-        for (_, _, (_, q_prev)), (numerator, (nl, nl_hat), (update, _)) in zip(
+        for prev, (denominator, (_, nl, nl_hat), numerator, (_, update, _)) in zip(
                 sweeps, sweeps[1:]):
-            q_prev = q_prev * (1.0 / n)
-            np.testing.assert_array_equal(nl, q_prev**2 / 2)
+            q_prev = prev[3][2]
+            np.testing.assert_array_equal(denominator[1], q_prev)
+            np.testing.assert_array_equal(nl, q_prev**2)
             full = np.concatenate((q_prev, q_prev[-2:0:-1]))
             denom = grid.dx * np.sum(full**3 / 2)
-            s_spectrum = numerator / denom
+            s_spectrum = n * grid.dx * numerator[2] / denom
             s_samples = quad_form(np.fft.rfft(full), grid, lin) / denom
             assert abs(s_spectrum - s_samples) < 1e-12 * s_samples
-            # the plain step would hand S^2 N_hat / lin to the transform
-            plain = s_spectrum**2 * nl_hat / lin
+            # the plain step would hand S^2 (Q^2/2)_hat / (n lin) to the transform
+            plain = s_spectrum**2 * nl_hat / (2 * n * lin)
             mixed += np.max(np.abs(update - plain)) > 1e-6 * np.max(np.abs(update))
         assert mixed >= 1
         assert wave.residual_sup < 10.0 * tol
@@ -266,20 +271,23 @@ class TestPetviashvili:
             petviashvili(model, 1.0, grid_desk, seed_profile=seed)
 
     @pytest.mark.parametrize("model, c, sweeps", [
-        (ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, 52),
-        (ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived"), 2.0, 52),
+        (ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, 24),
+        (ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived"), 2.0, 24),
         (ModelSpec(family=GFKDV, symbol=POWER(1.5), p=2), 1.0, 25),
     ], ids=["fkdv", "fbbm_derived", "gfkdv_p2"])
     def test_desk_sweep_counts(self, grid_desk, model, c, sweeps):
-        # the counts of the unmixed iteration with extrapolation every 8 sweeps
+        # fKdV and derived fBBM: the counts at MIX_DEPTH 4 (28 and 29 at
+        # depth 3, 52 unmixed with extrapolation every 8 sweeps); gfKdV p 2:
+        # the unmixed count (14 at depth 4)
         assert petviashvili(model, c, grid_desk).iterations <= sweeps
 
     def test_sweeps_run_in_preallocated_buffers(self):
         # on the half-grid: the samples, Q_hat and lin (n/2 float64 each),
         # the ring of 2 (MIX_DEPTH + 1) real spectra (n/2 each), the even
         # transform's work space (n) and its cached twiddles (n/4), plus a
-        # quarter array of slack.  Measured 6.77 arrays with the twiddles
-        # taken afresh; the full-grid iteration peaked at 10.8
+        # quarter array of slack, which the twiddles of the recursive levels
+        # take.  Measured 7.99 arrays at MIX_DEPTH 4 with the twiddles taken
+        # afresh; the full-grid iteration peaked at 10.8 at MIX_DEPTH 3
         grid = make_grid(1 << 16, 3200.0)
         model = ModelSpec(family=FKDV, symbol=POWER(0.75))
         seed = default_seed(model, 1.0, grid)
@@ -388,6 +396,12 @@ class TestInterpolant:
         fine = upsample_field(u, 2048)
         exact = np.exp(-fine.grid.x**2) * np.cos(fine.grid.x)
         np.testing.assert_allclose(fine.values, exact, rtol=0, atol=1e-12)
+
+    def test_upsample_shares_the_fine_grid(self):
+        # a seed shares the grid its solve is made on, not a second x and xi_r
+        g = make_grid(512, 50.0)
+        fine = upsample_field(field_from_values(g, np.exp(-g.x**2)), 2048)
+        assert fine.grid is make_grid(2048, g.L)
 
 
 class TestRescale:
@@ -528,6 +542,10 @@ class TestMinimizeIq:
         res = minimize_iq(q, 0.75, grid_desk)
         assert res.converged and res.I_q < 0.0
         assert res.iterations <= 60
+
+    def test_depth_four_desk_iterations(self, grid_desk):
+        # the mix at MIX_DEPTH 4 takes 18 iterations at q 4 (20 at depth 3)
+        assert minimize_iq(4.0, 0.75, grid_desk).iterations <= 18
 
     def test_energy_restart_keeps_the_mix_off_the_constant_state(self, grid_desk):
         # without the energy restart the mix converges here to the constant

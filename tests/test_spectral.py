@@ -1,9 +1,12 @@
 import ast
+import gc
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from fracsol import (
     shift_field,
     spectral_tail,
 )
+from fracsol import spectral
 from fracsol.spectral import _even_rfft
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fracsol"
@@ -74,6 +78,34 @@ class TestMakeGrid:
     def test_rejects_bad_length(self, L):
         with pytest.raises(ValueError):
             make_grid(8, L)
+
+    def test_grids_are_interned_while_held(self):
+        g = make_grid(64, 5.0)
+        assert make_grid(64, 5) is g
+        assert make_grid(64, 10.0) is not g and make_grid(128, 5.0) is not g
+
+    def test_threads_share_one_interned_grid(self):
+        # sweep points build their grids concurrently; every thread must get
+        # the one grid of an (n, L), not a copy made between lookup and insert
+        grids = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for L in np.linspace(1.0, 2.0, 50):
+                    futures = [pool.submit(make_grid, 1024, float(L)) for _ in range(8)]
+                    grids.append([f.result(timeout=10) for f in futures])
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(g is row[0] for row in grids for g in row)
+
+    def test_interning_keeps_no_grid_alive(self):
+        g = make_grid(64, 7.25)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+        assert (64, 7.25) not in spectral._GRIDS
 
 
 class TestApplyMultiplier:
