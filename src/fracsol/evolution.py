@@ -18,11 +18,12 @@ import numpy as np
 
 from .errors import NumericalError
 from .functionals import Report, bbm_hamiltonian, bbm_quadratic, energy_fkdv, energy_norm, mass
-from .ground_state import FBBM, ModelSpec, SolitaryWave, dilate_field
+from .ground_state import FBBM, ModelSpec, SolitaryWave, _sup, dilate_field
 from .spectral import (
     RealField,
     _same_grid,
     _shift_phase,
+    _spectrum,
     field_from_values,
     quad_form,
 )
@@ -95,10 +96,11 @@ def evolve(
     record_every steps.  The nonlinear term is always dealiased by the
     2/3 rule: modes above 2/3 of the Nyquist wavenumber are zeroed.
 
-    Blow-up (sup-norm growth beyond 1e6 times the initial) and NaN both stop
-    the integration and return a flagged partial trace.  A blown-up state is
-    recorded as the last entry; a NaN state cannot be, so the trace ends at
-    the last finite record.
+    Blow-up (sup-norm growth beyond 1e6 times the initial) and a NaN or
+    infinite sample (flag "nan") both stop the integration and return a
+    flagged partial trace; each step reads both from one max and one min of
+    its new samples.  A blown-up state is recorded as the last entry; a NaN
+    state cannot be, so the trace ends at the last finite record.
     """
     if not T > 0 or not dt > 0:
         raise ValueError("T and dt must be positive")
@@ -172,10 +174,11 @@ def evolve(
         uhat = E * uhat + f1 * n0 + f2x2 * (na + nb) + f3 * nc
 
         u_vals = np.fft.irfft(uhat, n=grid.n)
-        if not np.all(np.isfinite(u_vals)):
+        sup = _sup(u_vals)  # NaN or inf when a sample is
+        if not np.isfinite(sup):
             flag = "nan"
             break
-        if np.max(np.abs(u_vals)) > BLOWUP_FACTOR * max(sup0, 1e-300):
+        if sup > BLOWUP_FACTOR * max(sup0, 1e-300):
             flag = "blowup"
         if flag is not None or step % record_every == 0 or step == n_steps:
             u_field = field_from_values(grid, u_vals)
@@ -212,8 +215,8 @@ def orbital_distance(u: RealField, Q: SolitaryWave) -> tuple[float, float]:
     """
     grid = u.grid
     _same_grid(grid, Q.profile.grid)
-    uhat = np.fft.rfft(u.values)
-    qhat = np.fft.rfft(Q.profile.values)
+    uhat = _spectrum(u)
+    qhat = _spectrum(Q.profile)
     weight = 1.0 + Q.model.symbol(grid.xi_r)
     cross = weight * uhat * np.conj(qhat)
     z0 = int(np.argmax(np.fft.irfft(cross, n=grid.n))) * grid.dx

@@ -37,7 +37,9 @@ from .spectral import (
     _apply_multiplier_array,
     _chirp_z,
     _even_rfft,
+    _even_work_size,
     _same_grid,
+    _spectrum,
     field_from_values,
     make_grid,
     quad_form,
@@ -298,12 +300,17 @@ def petviashvili(
     of the difference and of the new samples, which are copied into place.
     The residual check reuses Q_hat and adds one transform, and its sup and
     l^2 norms are the reported residuals.  The sweeps run in preallocated
-    buffers: the samples, Q_hat, the transform's work space and a ring of
-    2 (MIX_DEPTH + 1) spectra.  The nonlinearity, the new samples, the sup
-    change and the residual check use the ring slots outside the history.
-    MIX_DEPTH = 4 is the depth measured to take the fewest sweeps on the
-    staged chains and the desk grid; depths 5 and 6 took more on the desk
-    solve and on Whitham, and each slot costs two rows of n/2 + 1 values.
+    buffers: the samples, Q_hat and c + p(D) (a row of n/2 + 1 values each),
+    a ring of 2 (MIX_DEPTH + 1) spectra and the transform's work space of
+    about n/2 values (spectral._even_work_size).  The nonlinearity, the new
+    samples, the sup change and the residual check use the ring slots
+    outside the history.  MIX_DEPTH = 4 is the depth measured to take the
+    fewest sweeps on the staged chains and the desk grid; depths 5 and 6
+    took more on the desk solve and on Whitham, and each slot costs two
+    rows.  The ring and the work space are freed before the full profile
+    is built, and the profile keeps n Q_hat, its real spectrum rfft(Q), as
+    RealField.spectrum, so checks and resampling of the wave transform
+    nothing.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -329,7 +336,7 @@ def petviashvili(
     q[0] = seed[0]
     np.add(seed[1:half], seed[:half - 2:-1], out=q[1:])
     q[1:] *= 0.5
-    work = np.empty(n + 2)
+    work = np.empty(_even_work_size(n // 2))
     # spectra are carried scaled by 1/n, so the even transform of Q_hat is Q
     qhat = _even_rfft(q, np.empty(half), work)
     qhat *= 1.0 / n
@@ -388,8 +395,10 @@ def petviashvili(
     values = np.empty(n)
     values[:half] = q
     values[half:] = q[-2:0:-1]
+    qhat *= n  # the profile keeps its spectrum, rfft(values)
+    qhat.setflags(write=False)
     return SolitaryWave(
-        profile=field_from_values(grid, values),
+        profile=replace(field_from_values(grid, values), spectrum=qhat),
         c=c,
         model=model,
         residual_sup=residual_sup,
@@ -425,18 +434,29 @@ def sample_interpolant_uniform(u: RealField, start: float, step: float,
 def upsample_field(u: RealField, n_new: int) -> RealField:
     """Resample onto a finer grid with the same box by zero-padding the
     spectrum; exact for the band-limited interpolant.  Useful for seeding a
-    fine solve from a coarse one."""
+    fine solve from a coarse one.  The real spectrum of a solved wave gives
+    the fine samples with one even transform of the half grid.  The fine
+    field carries no spectrum: a seed that kept one would hold n/2 + 1 more
+    values through the solve it seeds, which transforms its seed anyway."""
     grid = u.grid
     if n_new < grid.n:
         raise ValueError(f"upsample_field needs n_new >= n, got {n_new} < {grid.n}")
     if n_new == grid.n:
         return u
     fine = make_grid(n_new, grid.L)
-    uhat = np.fft.rfft(u.values)
-    padded = np.zeros(n_new // 2 + 1, dtype=complex)
+    uhat = _spectrum(u)
+    padded = np.zeros(n_new // 2 + 1, dtype=uhat.dtype)
     padded[: uhat.size] = uhat
     padded[uhat.size - 1] *= 0.5  # split the Nyquist mode symmetrically
-    vals = np.fft.irfft(padded, n=n_new) * (n_new / grid.n)
+    if np.iscomplexobj(padded):
+        vals = np.fft.irfft(padded, n=n_new)
+        vals *= n_new / grid.n
+    else:
+        half = n_new // 2 + 1
+        vals = np.empty(n_new)
+        _even_rfft(padded, vals[:half])
+        vals[:half] *= 1.0 / grid.n
+        vals[half:] = vals[half - 2:0:-1]
     return field_from_values(fine, vals)
 
 

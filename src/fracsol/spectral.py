@@ -25,21 +25,29 @@ steppers) manipulates fields through Fourier multipliers on this box:
   to 0), and its rfft is real: the cosine transform (DCT-I) of those
   n/2 + 1 samples.  ``_even_rfft`` takes it with one irfft of length n/4
   and the cosine transform of half the size, down to one rfft of length
-  at most _EVEN_BASE: about n/2 transform points in all.  It is its own
-  inverse up to the factor 1/n.
+  at most _EVEN_BASE: about n/2 transform points in all, in a work space
+  of about n/2 values (``_even_work_size``).  It is its own inverse up to
+  the factor 1/n,
+* a field may carry its spectrum rfft(values) (``RealField.spectrum``):
+  a solve keeps the real spectrum of the even profile it returns, and
+  ``_spectrum`` is the one place that reads a field's transform, the
+  attached one or a fresh one that is not kept.  So the functionals and
+  identity checks of a solved wave transform nothing, and resampling and
+  the orbital distance take no transform of it.
 
 Grids and fields are immutable after construction and safe to share between
 concurrently running solves.  ``make_grid`` interns grids by (n, L) for as
 long as a reference to one is held, so a resampled seed and the solve it
-seeds share one copy of ``x`` and ``xi_r``.
+seeds share one copy of ``xi_r``.  The sample points ``x``, which no solve
+reads, are computed on first access and then kept on the grid.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -70,13 +78,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Grid1D:
     """Uniform periodic sampling of [-L, L) with its one-sided (rfft)
-    wavenumbers xi_r."""
+    wavenumbers xi_r.  The sample points x are computed on first access and
+    then kept: no solve reads them."""
 
     n: int
     L: float
     dx: float
-    x: np.ndarray
     xi_r: np.ndarray
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """The sample points -L + dx*j, j < n (read-only)."""
+        return _readonly(-self.L + self.dx * np.arange(self.n))
 
 
 _GRIDS = weakref.WeakValueDictionary()  # (n, L) -> Grid1D
@@ -87,7 +100,7 @@ def make_grid(n: int, L: float) -> Grid1D:
     """The periodic grid with n samples (power of two, >= 8) on [-L, L).
 
     Grids are interned by (n, L): while any reference to one is held, the same
-    n and L return that grid instead of a second copy of x and xi_r."""
+    n and L return that grid instead of a second copy of xi_r (and x)."""
     if n < 8 or (n & (n - 1)) != 0:
         raise ValueError(f"n must be a power of two with n >= 8, got {n}")
     if not L > 0:
@@ -97,19 +110,26 @@ def make_grid(n: int, L: float) -> Grid1D:
         grid = _GRIDS.get((n, L))
         if grid is None:
             dx = 2.0 * L / n  # exact: division by a power of two
-            x = -L + dx * np.arange(n)
-            xi_r = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
-            grid = Grid1D(n=n, L=L, dx=dx, x=_readonly(x), xi_r=_readonly(xi_r))
+            # 2 pi rfftfreq(n, dx), formed in place
+            xi_r = np.arange(n // 2 + 1, dtype=np.float64)
+            xi_r *= 1.0 / (n * dx)
+            xi_r *= 2.0 * np.pi
+            grid = Grid1D(n=n, L=L, dx=dx, xi_r=_readonly(xi_r))
             _GRIDS[n, L] = grid
     return grid
 
 
 @dataclass(frozen=True, eq=False)
 class RealField:
-    """Real-valued samples on a Grid1D; the state of every solver."""
+    """Real-valued samples on a Grid1D; the state of every solver.
+
+    spectrum, when set, is rfft(values), read-only (real for an even
+    field).  Only the profiles that solves return carry one; read a field's
+    transform through _spectrum."""
 
     grid: Grid1D
     values: np.ndarray
+    spectrum: np.ndarray | None = field(default=None, repr=False)
 
     def __add__(self, other):
         if isinstance(other, RealField):
@@ -264,22 +284,28 @@ def quad_form(uhat: np.ndarray, grid: Grid1D, weight: np.ndarray | float,
     Interior modes stand for the pair +-xi and count twice; the mean and
     Nyquist modes count once.  A real spectrum (of an even field, see
     _even_rfft) has no imaginary products to add.  work, when given, is a
-    float64 buffer of at least 2 * uhat.size values (uhat.size for two real
-    spectra) that holds the products in place of temporaries.
+    float64 buffer of at least 2 * uhat.size values (uhat.size when either
+    spectrum is real) that holds the products in place of temporaries.
     """
     vhat = uhat if vhat is None else vhat
     m = uhat.size
-    work = np.empty(2 * m) if work is None else work
+    both_complex = np.iscomplexobj(uhat) and np.iscomplexobj(vhat)
+    work = np.empty(2 * m if both_complex else m) if work is None else work
     power = np.multiply(uhat.real, vhat.real, out=work[:m])
-    if np.iscomplexobj(uhat) and np.iscomplexobj(vhat):
+    if both_complex:
         power += np.multiply(uhat.imag, vhat.imag, out=work[m:2 * m])
     power *= weight
     return float(grid.dx / grid.n * (2.0 * np.sum(power) - power[0] - power[-1]))
 
 
+def _spectrum(u: RealField) -> np.ndarray:
+    """rfft(u.values): the spectrum u carries, or a transform that is not kept."""
+    return np.fft.rfft(u.values) if u.spectrum is None else u.spectrum
+
+
 def _field_form(u: RealField, weight: np.ndarray | float) -> float:
     """int (m(D)u) u dx by quad_form, with weight = m(xi_r)."""
-    return quad_form(np.fft.rfft(u.values), u.grid, weight)
+    return quad_form(_spectrum(u), u.grid, weight)
 
 
 TAIL_MODES = 20  # top modes whose amplitude spectral_tail measures
@@ -338,6 +364,15 @@ _EVEN_BASE = 4096  # largest N whose even outputs _even_rfft takes with one rfft
 # from 1024 to 65536 it made no measurable difference to the transform time
 
 
+def _even_work_size(N: int) -> int:
+    """Float64 values of work space that _even_rfft of N + 1 samples uses:
+    W(N) = 2N + 2 up to _EVEN_BASE and max(N/2 + 2 + W(N/2), N + 2) above
+    it, about N + _EVEN_BASE."""
+    if N <= _EVEN_BASE:
+        return 2 * N + 2
+    return max(N // 2 + 2 + _even_work_size(N // 2), N + 2)
+
+
 def _even_rfft(x: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """The rfft of the even sequence of length n = 2N whose samples 0..N are
     x (N + 1 values), written into the float64 array out of N + 1 values.
@@ -346,25 +381,27 @@ def _even_rfft(x: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -
 
     The even outputs are the rfft of length N of e_j = x_j + x_{N-j}.  That
     sequence is even with period N, so above N = _EVEN_BASE they are this
-    transform of e_0..e_{N/2}, with work[N:2N + 2] as its work space (the
-    recursive split of FFTW's REDFT00; Frigo & Johnson, Proc. IEEE 93,
-    2005); at or below it, one rfft of length N.  The odd outputs are the
-    DCT-III d_0 + 2 sum_{0<j<N/2} d_j cos(pi j (2m+1)/N) of
-    d_j = x_j - x_{N-j}, taken by Makhoul's method (IEEE TASSP 28, 1980)
-    with one irfft of length N/2.  So the transform takes N + _EVEN_BASE/2
-    transform points above the base and 3N/2 at or below it.  Both steps
-    keep the accuracy of the rfft; the cumulative-sum recurrence of the
-    single-FFT cosine transform does not.  N must be a power of two.  work,
-    when given, is a float64 buffer of at least 2N + 2 values that holds the
-    intermediates in place of temporaries.
+    transform of e_0..e_{N/2}, held in work[:N/2 + 1], with work[N/2 + 2:]
+    as the work space of that call (the recursive split of FFTW's REDFT00;
+    Frigo & Johnson, Proc. IEEE 93, 2005); at or below it, one rfft of
+    length N.  The odd outputs are the DCT-III
+    d_0 + 2 sum_{0<j<N/2} d_j cos(pi j (2m+1)/N) of d_j = x_j - x_{N-j},
+    taken by Makhoul's method (IEEE TASSP 28, 1980) with one irfft of
+    length N/2, in work[:N + 2] once the even outputs are written.  So the
+    transform takes N + _EVEN_BASE/2 transform points above the base and
+    3N/2 at or below it.  Both steps keep the accuracy of the rfft; the
+    cumulative-sum recurrence of the single-FFT cosine transform does not.
+    N must be a power of two.  work, when given, is a float64 buffer of at
+    least _even_work_size(N) values (about N) that holds the intermediates
+    in place of temporaries.
     """
     N = x.size - 1
     m = N // 2
     h = m // 2
-    work = np.empty(2 * N + 2) if work is None else work
+    work = np.empty(_even_work_size(N)) if work is None else work
     if N > _EVEN_BASE:
         e = np.add(x[:m + 1], x[N:m - 1:-1], out=work[:m + 1])
-        _even_rfft(e, out[0::2], work[N:2 * N + 2])
+        _even_rfft(e, out[0::2], work[m + 2:])
     else:
         spec = work[N:2 * N + 2].view(np.complex128)  # N/2 + 1 modes
         e = np.add(x[:N], x[N:0:-1], out=work[:N])
@@ -372,14 +409,14 @@ def _even_rfft(x: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -
         np.copyto(out[0::2], spec.real)
     # the odd outputs z_j = out[2j+1], reordered as y_i = z_{2i} and
     # y_{m-1-i} = z_{2i+1}, are the irfft of the half spectrum
-    # vhat_k = exp(1j*pi*k/(2m)) (d_k - 1j d_{m-k}), k <= m/2, with d_m = 0
-    d = np.subtract(x[:m], x[N:m:-1], out=work[:m])
-    vhat = work[m:2 * m + 2].view(np.complex128)  # m/2 + 1 modes
-    vhat.real = d[:h + 1]
+    # vhat_k = exp(1j*pi*k/(2m)) (d_k - 1j d_{m-k}), k <= m/2, with d_m = 0,
+    # filled straight from x
+    vhat = work[:m + 2].view(np.complex128)  # m/2 + 1 modes
+    np.subtract(x[:h + 1], x[N:N - h - 1:-1], out=vhat.real)
     vhat.imag[0] = 0.0
-    np.negative(d[m - 1:h - 1:-1], out=vhat.imag[1:])
+    np.subtract(x[m + 1:m + h + 1], x[m - 1:h - 1:-1], out=vhat.imag[1:])
     vhat *= _quarter_twiddle(m)
-    y = np.fft.irfft(vhat, m, norm="forward", out=work[N + 2:N + 2 + m])
+    y = np.fft.irfft(vhat, m, norm="forward", out=work[m + 2:2 * m + 2])
     out[1::4] = y[:h]
     out[3::4] = y[:h - 1:-1]
     return out

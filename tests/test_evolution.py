@@ -121,6 +121,27 @@ class TestEvolve:
             assert trace.times[-1] < 4.0
             assert all(len(s) == len(trace.times) for s in trace.conserved.values())
 
+    @pytest.mark.parametrize("bad, flag", [(np.nan, "nan"), (np.inf, "nan"), (-np.inf, "nan"),
+                                           (-1e7, "blowup")])
+    def test_flags_read_from_the_extremes(self, wave8, monkeypatch, bad, flag):
+        # the end-of-step irfft of the first step (the fifth irfft) returns
+        # one bad sample: NaN or an infinity of either sign stops with "nan"
+        # before the state is recorded, a finite one past 1e6 sup|u0| of
+        # either sign records it and stops with "blowup"
+        calls = []
+
+        def irfft(a, *args, _original=np.fft.irfft, **kwargs):
+            out = _original(a, *args, **kwargs)
+            calls.append(1)
+            if len(calls) == 5:
+                out[7] = bad * np.max(np.abs(wave8.profile.values))
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        trace = evolve(wave8.model, wave8.profile, 1.0, 2.0**-9, record_every=1)
+        assert trace.flag == flag
+        assert list(trace.times) == ([0.0] if flag == "nan" else [0.0, 2.0**-9])
+
     def test_eight_transforms_per_step(self, wave8, monkeypatch):
         # the end-of-step irfft serves the next step's first nonlinear term
         calls = spy_transforms(monkeypatch)

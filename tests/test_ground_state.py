@@ -1,3 +1,4 @@
+import gc
 import re
 import tracemalloc
 import warnings
@@ -18,12 +19,15 @@ from fracsol import (
     dilate_field,
     energy_norm,
     field_from_values,
+    identity_suite,
     make_grid,
     mass,
     minimize_iq,
     petviashvili,
     quad_form,
     rescale_solitary,
+    solve_refined,
+    weinstein,
 )
 from fracsol import ground_state, spectral
 from fracsol.ground_state import (
@@ -38,6 +42,7 @@ from fracsol.ground_state import (
     solitary_from_profile,
     upsample_field,
 )
+from fracsol.spectral import _even_rfft, _even_work_size
 
 POWER = DispersionSymbol.power
 
@@ -284,10 +289,12 @@ class TestPetviashvili:
     def test_sweeps_run_in_preallocated_buffers(self):
         # on the half-grid: the samples, Q_hat and lin (n/2 float64 each),
         # the ring of 2 (MIX_DEPTH + 1) real spectra (n/2 each), the even
-        # transform's work space (n) and its cached twiddles (n/4), plus a
-        # quarter array of slack, which the twiddles of the recursive levels
-        # take.  Measured 7.99 arrays at MIX_DEPTH 4 with the twiddles taken
-        # afresh; the full-grid iteration peaked at 10.8 at MIX_DEPTH 3
+        # transform's work space (about n/2, _even_work_size) and its cached
+        # twiddles (n/4), plus three quarters of an array of slack, which the
+        # twiddles of the recursive levels and first-call imports take.
+        # Measured 7.54 arrays at MIX_DEPTH 4 with the twiddles taken afresh
+        # (7.99 with a work space of n values); the full-grid iteration
+        # peaked at 10.8 at MIX_DEPTH 3
         grid = make_grid(1 << 16, 3200.0)
         model = ModelSpec(family=FKDV, symbol=POWER(0.75))
         seed = default_seed(model, 1.0, grid)
@@ -299,7 +306,7 @@ class TestPetviashvili:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        arrays = 3 * 0.5 + (MIX_DEPTH + 1) + 1 + 0.25 + 0.25
+        arrays = 3 * 0.5 + (MIX_DEPTH + 1) + 0.5 + 0.25 + 0.75
         assert peak <= arrays * 8 * grid.n
 
     def test_energy_supercritical_warns_and_violates_line_identity(self):
@@ -313,6 +320,43 @@ class TestPetviashvili:
         g = grid.dx / grid.n * np.sum(np.abs(two_sided_xi(grid)) ** 0.3 * np.abs(uhat) ** 2)
         m = grid.dx * np.sum(wave.profile.values**2)
         assert abs((3 * 0.3 - 1) * g - m) / m > 0.5
+
+
+def assert_carries_its_spectrum(u):
+    """u carries rfft(u.values), real and read-only."""
+    ref = np.fft.rfft(u.values)
+    assert u.spectrum.dtype == np.float64 and not u.spectrum.flags.writeable
+    assert np.max(np.abs(u.spectrum - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestAttachedSpectrum:
+    def test_desk_fkdv_wave(self, q075_wave):
+        assert_carries_its_spectrum(q075_wave.profile)
+
+    def test_derived_fbbm_wave(self, grid_desk):
+        model = ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived")
+        assert_carries_its_spectrum(petviashvili(model, 2.0, grid_desk).profile)
+
+    def test_large_solve(self):
+        model = ModelSpec(family=FKDV, symbol=POWER(0.75))
+        assert_carries_its_spectrum(petviashvili(model, 1.0, make_grid(1 << 16, 3200.0)).profile)
+
+    def test_upsampled_wave(self, q075_wave):
+        # the real spectrum of a wave gives the fine samples by one even
+        # transform; they match the complex zero-padding route, and the seed
+        # carries no spectrum, so it holds no more than its samples
+        u = q075_wave.profile
+        fine = upsample_field(u, 4 * u.grid.n)
+        plain = upsample_field(field_from_values(u.grid, u.values), 4 * u.grid.n)
+        assert fine.spectrum is None and plain.spectrum is None
+        assert np.max(np.abs(fine.values - plain.values)) <= 1e-14 * np.max(u.values)
+        assert np.array_equal(fine.values[1:], fine.values[:0:-1])
+
+    def test_checks_of_a_solved_wave_take_no_rfft(self, q075_wave, monkeypatch):
+        calls = spy_transforms(monkeypatch)
+        identity_suite(q075_wave)
+        weinstein(q075_wave.profile, 0.75)
+        assert [name for name, _, _ in calls if name == "rfft"] == []
 
 
 STAGED_SCHEDULES = {  # n -> (n, tol, max_iter) of each petviashvili call
@@ -366,6 +410,28 @@ class TestSolveRefined:
         for _, n, _ in workloads["CHAINS"]:
             library = [size for size, _, _ in recorded_schedule(monkeypatch, n)]
             assert workloads["solve_stages"](n) + [n] == library
+
+    def test_final_stage_memory(self):
+        # the final stage holds the ring of 2 (MIX_DEPTH + 1) rows of n/2 + 1
+        # values, the samples, Q_hat and lin (3 rows), the even transform's
+        # work space, the seed (n values) and the grid's xi_r (1 row); the
+        # previous stage's wave, its spectrum and its grid add 1 row.  The
+        # twiddles are cached first.  A grid that also kept x and a work
+        # space of n + 2 values peaked at 21.3 rows
+        n = 1 << 18
+        _even_rfft(np.zeros(n // 2 + 1), np.empty(n // 2 + 1))
+        model = ModelSpec(family=FKDV, symbol=POWER(0.75))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            wave = solve_refined(model, 1.0, n, 12800.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = 2 * (MIX_DEPTH + 1) + 3 + 1 + 1
+        bound = 8 * (rows * (n // 2 + 1) + _even_work_size(n // 2) + n) + 64 * 1024
+        assert wave.residual_sup < 1e-9
+        assert peak <= bound
 
 
 class TestInterpolant:

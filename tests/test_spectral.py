@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -31,7 +32,7 @@ from fracsol import (
     spectral_tail,
 )
 from fracsol import spectral
-from fracsol.spectral import _even_rfft
+from fracsol.spectral import _even_rfft, _even_work_size
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fracsol"
 POWER = DispersionSymbol.power
@@ -98,6 +99,24 @@ class TestMakeGrid:
         finally:
             sys.setswitchinterval(switch)
         assert all(g is row[0] for row in grids for g in row)
+
+    def test_coordinates_on_demand(self):
+        # make_grid forms xi_r alone, in place; x, which no solve reads, is
+        # computed on first access and then kept
+        n, L = 1 << 20, 25600.0
+        gc.collect()
+        assert (n, L) not in spectral._GRIDS
+        tracemalloc.start()
+        try:
+            grid = make_grid(n, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (n // 2 + 1) * 8 + 64 * 1024
+        x = grid.x
+        assert x.tobytes() == (-L + grid.dx * np.arange(n)).tobytes()
+        assert not x.flags.writeable
+        assert grid.x is x
 
     def test_interning_keeps_no_grid_alive(self):
         g = make_grid(64, 7.25)
@@ -379,6 +398,23 @@ class TestEvenRfft:
             work = np.full(n + 2, np.nan)
             np.testing.assert_array_equal(_even_rfft(half, np.empty(half.size), work),
                                           _even_rfft(half, np.empty(half.size)))
+
+    @pytest.mark.parametrize("N", [4096, 8192, 1 << 16, 1 << 18])
+    def test_exact_workspace(self, N, rng):
+        # the recursion reuses its work space: the child works past the even
+        # fold, the odd half in the first N + 2 values once the child is done
+        half = rng.standard_normal(N + 1)
+        work = np.full(_even_work_size(N), np.nan)
+        np.testing.assert_array_equal(_even_rfft(half, np.empty(N + 1), work),
+                                      _even_rfft(half, np.empty(N + 1)))
+
+    def test_workspace_size(self):
+        # 2N + 2 at or below the base; above it the even fold and its gap
+        # (N/2 + 2) before the child's work space, and at least the N + 2
+        # of the odd half: 528,400 values for the 2^20-point grid
+        assert [_even_work_size(N) for N in (8, 4096)] == [18, 8194]
+        assert _even_work_size(8192) == 4096 + 2 + 8194
+        assert _even_work_size(1 << 19) == 528400
 
     def test_petviashvili_residual_floor(self):
         # the even transform keeps the accuracy of the rfft: the solve reaches
