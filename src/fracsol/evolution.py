@@ -156,7 +156,7 @@ def evolve(
         if track_orbit is not None:
             dists.append(orbital_distance(u_field, track_orbit)[0])
 
-    uhat = np.fft.rfft(u0.values)
+    uhat = _spectrum(u0)
     # the samples of uhat; each step's blow-up check refreshes them for the next
     u_vals = np.fft.irfft(uhat, n=grid.n)
     record(0.0, u0)
@@ -299,11 +299,13 @@ def stability_experiment(
     (every step when dt is longer).  The identity gate runs at gate_tolerance,
     loose enough for the periodization level of desk-scale boxes while still
     rejecting unconverged or perturbed profiles.  delta must be finite and
-    >= 0: a negative one flips the perturbation while the threshold falls to
-    the floor.
+    >= 0 (a negative one flips the perturbation while the threshold falls
+    to the floor), and K finite and > 0.
     """
     if not (delta >= 0 and np.isfinite(delta)):
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    if not (K > 0 and np.isfinite(K)):
+        raise ValueError(f"K must be finite and > 0, got {K}")
     gate = identity_suite(Q, tolerance=gate_tolerance)
     bad = [r.name for r in gate if not r.passed]
     if bad:

@@ -312,8 +312,8 @@ def petviashvili(
     RealField.spectrum, so checks and resampling of the wave transform
     nothing.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not (tol > 0 and np.isfinite(tol) and max_iter >= 1):
+        raise ValueError(f"need finite tol > 0, max_iter >= 1; got tol={tol}, max_iter={max_iter}")
     if model.family == FKDV and model.symbol.kind == PURE_POWER and model.symbol.alpha <= 1.0 / 3.0:
         warnings.warn(
             f"alpha={model.symbol.alpha} <= 1/3: no finite-energy solitary wave exists; "
@@ -412,11 +412,9 @@ def petviashvili(
 
 def _interp_weights(u: RealField):
     """One-sided spectral weights of the real trigonometric interpolant."""
-    grid = u.grid
-    uhat = np.fft.rfft(u.values)
-    weights = uhat / grid.n
+    weights = _spectrum(u) / u.grid.n
     weights[1:-1] *= 2.0  # interior modes carry both signs; ends stay single
-    return weights, grid.xi_r
+    return weights, u.grid.xi_r
 
 
 def sample_interpolant_uniform(u: RealField, start: float, step: float,
@@ -616,6 +614,8 @@ def minimize_iq(
     spectra, whose slot outside the history holds u^2/2, its transform and
     g_perp until the iteration writes G_k and F_k there.
     """
+    if not (tol > 0 and np.isfinite(tol) and max_iter >= 1):
+        raise ValueError(f"need finite tol > 0, max_iter >= 1; got tol={tol}, max_iter={max_iter}")
     if not (0.5 < alpha < 1.0):
         raise ValueError(f"minimize_iq needs alpha in (1/2, 1), got {alpha}")
     if not q > 0:

@@ -31,23 +31,20 @@ steppers) manipulates fields through Fourier multipliers on this box:
 * a field may carry its spectrum rfft(values) (``RealField.spectrum``):
   a solve keeps the real spectrum of the even profile it returns, and
   ``_spectrum`` is the one place that reads a field's transform, the
-  attached one or a fresh one that is not kept.  So the functionals and
-  identity checks of a solved wave transform nothing, and resampling and
-  the orbital distance take no transform of it.
+  attached one or a fresh one that is not kept, so no forward transform
+  of a solved wave is taken twice.
 
 Grids and fields are immutable after construction and safe to share between
-concurrently running solves.  ``make_grid`` interns grids by (n, L) for as
-long as a reference to one is held, so a resampled seed and the solve it
-seeds share one copy of ``xi_r``.  The sample points ``x``, which no solve
-reads, are computed on first access and then kept on the grid.
+concurrently running solves.  A grid is the plain value (n, L, dx): it
+computes ``x`` and ``xi_r`` on first access and keeps them, so a grid that
+nobody reads, such as that of a resampled seed, holds no array.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
+import mmap
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -69,6 +66,17 @@ __all__ = [
 ]
 
 
+def _kept(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a in an anonymous memory mapping of its own, for
+    arrays kept after the call that builds them (a grid's x and xi_r, the
+    twiddle table).  On the malloc heap, amid a solve's short-lived buffers,
+    they held room that later solves needed (ROADMAP item 1)."""
+    kept = np.frombuffer(mmap.mmap(-1, a.nbytes), dtype=a.dtype)
+    kept[...] = a
+    kept.setflags(write=False)
+    return kept
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
@@ -77,46 +85,30 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Grid1D:
-    """Uniform periodic sampling of [-L, L) with its one-sided (rfft)
-    wavenumbers xi_r.  The sample points x are computed on first access and
-    then kept: no solve reads them."""
+    """Uniform periodic sampling of [-L, L); x and xi_r are computed on first read and kept."""
 
     n: int
     L: float
     dx: float
-    xi_r: np.ndarray
 
     @cached_property
     def x(self) -> np.ndarray:
         """The sample points -L + dx*j, j < n (read-only)."""
-        return _readonly(-self.L + self.dx * np.arange(self.n))
+        return _kept(-self.L + self.dx * np.arange(self.n))
 
-
-_GRIDS = weakref.WeakValueDictionary()  # (n, L) -> Grid1D
-_GRIDS_LOCK = threading.Lock()
+    @cached_property
+    def xi_r(self) -> np.ndarray:
+        """The wavenumbers 2 pi rfftfreq(n, dx) (read-only)."""
+        return _kept(2.0 * np.pi * np.fft.rfftfreq(self.n, self.dx))
 
 
 def make_grid(n: int, L: float) -> Grid1D:
-    """The periodic grid with n samples (power of two, >= 8) on [-L, L).
-
-    Grids are interned by (n, L): while any reference to one is held, the same
-    n and L return that grid instead of a second copy of xi_r (and x)."""
+    """The periodic grid with n samples (power of two, >= 8) on [-L, L)."""
     if n < 8 or (n & (n - 1)) != 0:
         raise ValueError(f"n must be a power of two with n >= 8, got {n}")
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
-    L = float(L)
-    with _GRIDS_LOCK:
-        grid = _GRIDS.get((n, L))
-        if grid is None:
-            dx = 2.0 * L / n  # exact: division by a power of two
-            # 2 pi rfftfreq(n, dx), formed in place
-            xi_r = np.arange(n // 2 + 1, dtype=np.float64)
-            xi_r *= 1.0 / (n * dx)
-            xi_r *= 2.0 * np.pi
-            grid = Grid1D(n=n, L=L, dx=dx, xi_r=_readonly(xi_r))
-            _GRIDS[n, L] = grid
-    return grid
+    return Grid1D(n=n, L=float(L), dx=2.0 * L / n)  # exact: division by a power of two
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,12 +186,10 @@ class DispersionSymbol:
         if self.kind == PURE_POWER:
             if not (0.0 < self.alpha <= 2.0):
                 raise ValueError(f"power symbol needs alpha in (0, 2], got {self.alpha}")
-        elif self.kind == WHITHAM:
-            pass
         elif self.kind == WHITHAM_TENSION:
             if self.beta < 0:
                 raise ValueError(f"surface-tension parameter must be >= 0, got {self.beta}")
-        else:
+        elif self.kind != WHITHAM:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
 
     @classmethod
@@ -233,7 +223,7 @@ class DispersionSymbol:
 
 def _apply_multiplier_array(u: RealField, m: np.ndarray) -> RealField:
     """Apply a precomputed multiplier on the one-sided lattice xi_r."""
-    out = np.fft.irfft(m * np.fft.rfft(u.values), n=u.grid.n)
+    out = np.fft.irfft(m * _spectrum(u), n=u.grid.n)
     return RealField(grid=u.grid, values=_readonly(out))
 
 
@@ -314,7 +304,7 @@ TAIL_MODES = 20  # top modes whose amplitude spectral_tail measures
 def spectral_tail(u: RealField) -> float:
     """Resolution measure: the largest amplitude among the top TAIL_MODES
     rfft modes of u over its peak amplitude (0 for the zero field)."""
-    amp = np.abs(np.fft.rfft(u.values))
+    amp = np.abs(_spectrum(u))
     peak = float(amp.max())
     return float(amp[-TAIL_MODES:].max()) / peak if peak > 0 else 0.0
 
@@ -352,12 +342,18 @@ def _chirp_z(g: np.ndarray, count: int, theta: float) -> np.ndarray:
     return w[:count] * conv[n - 1:n - 1 + count]
 
 
-@lru_cache(maxsize=16)
+_twiddles = np.ones(1, dtype=np.complex128)  # _quarter_twiddle's table: M = 2 (size - 1)
+
+
 def _quarter_twiddle(m: int) -> np.ndarray:
-    """exp(1j*pi*k/(2m)) for k = 0..m/2, read-only."""
-    t = np.exp(0.5j * np.pi / m * np.arange(m // 2 + 1))
-    t.setflags(write=False)
-    return t
+    """exp(1j*pi*k/(2m)), k = 0..m/2, read-only: every (M/m)-th entry (bitwise,
+    as M/m is a power of two) of the one table, for the largest m = M so far.
+    Views outlive a replacement of the table, so threads need no lock."""
+    global _twiddles
+    table = _twiddles
+    if table.size < m // 2 + 1:
+        table = _twiddles = _kept(np.exp(0.5j * np.pi / m * np.arange(m // 2 + 1)))
+    return table[::2 * (table.size - 1) // m]
 
 
 _EVEN_BASE = 4096  # largest N whose even outputs _even_rfft takes with one rfft;
@@ -399,6 +395,7 @@ def _even_rfft(x: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -
     m = N // 2
     h = m // 2
     work = np.empty(_even_work_size(N)) if work is None else work
+    twiddle = _quarter_twiddle(m)  # first: the recursion reads views of its table
     if N > _EVEN_BASE:
         e = np.add(x[:m + 1], x[N:m - 1:-1], out=work[:m + 1])
         _even_rfft(e, out[0::2], work[m + 2:])
@@ -415,7 +412,7 @@ def _even_rfft(x: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -
     np.subtract(x[:h + 1], x[N:N - h - 1:-1], out=vhat.real)
     vhat.imag[0] = 0.0
     np.subtract(x[m + 1:m + h + 1], x[m - 1:h - 1:-1], out=vhat.imag[1:])
-    vhat *= _quarter_twiddle(m)
+    vhat *= twiddle
     y = np.fft.irfft(vhat, m, norm="forward", out=work[m + 2:2 * m + 2])
     out[1::4] = y[:h]
     out[3::4] = y[:h - 1:-1]

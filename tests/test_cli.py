@@ -277,20 +277,33 @@ class TestOtherCommands:
         ["evolve", "--dt", "nan"],
         ["evolve", "--record-every", "-1"],
         ["stability", "--dt", "-1", "--n", "4096", "--L", "200"],
+        ["stability", "--K", "nan", "--n", "4096", "--L", "200"],
+        ["stability", "--K", "-1", "--n", "4096", "--L", "200"],
+        ["stability", "--K", "0", "--n", "4096", "--L", "200"],
+        ["stability", "--K", "inf", "--n", "4096", "--L", "200"],
+        ["ground-state", "--tol", "-1"],
+        ["ground-state", "--tol", "nan"],
+        ["minimize-iq", "--tol", "nan", "--max-iter", "3000"],
+        ["minimize-iq", "--max-iter", "0"],
     ], ids=["evolve_dt_negative", "evolve_dt_nan", "evolve_record_every_negative",
-            "stability_dt_negative"])
+            "stability_dt_negative", "stability_K_nan", "stability_K_negative",
+            "stability_K_zero", "stability_K_inf", "ground_state_tol_negative",
+            "ground_state_tol_nan", "minimize_iq_tol_nan", "minimize_iq_max_iter_zero"])
     def test_bad_step_flag_exit_2(self, argv, tmp_path):
-        # 0 is the only value that selects the default step
+        # 0 is the only value that selects the default step; K, tol and
+        # max_iter have no default to select and must be positive
         grid = make_grid(256, 20.0)
         path = str(tmp_path / "q.csv")
         save_profile(field_from_values(grid, np.exp(-grid.x**2)), path,
                      {"c": 1.0, "alpha": 0.75, "family": "fkdv"})
         report = str(tmp_path / "r.json")
         profile = ["--profile", path] if argv[0] == "evolve" else []
-        assert main(argv + profile + ["--T", "0.5", "--report", report]) == 2
+        horizon = ["--T", "0.5"] if argv[0] in ("evolve", "stability") else []
+        assert main(argv + profile + horizon + ["--report", report]) == 2
         payload = json.load(open(report))
         assert payload["error"] == "ValueError"
-        assert argv[1] in payload["message"]
+        # the flag as the CLI spells it, or the parameter the library names
+        assert argv[1].lstrip("-") in payload["message"].replace("_", "-")
 
     def test_iq_scaling_command(self, tmp_path):
         report = str(tmp_path / "iq.json")

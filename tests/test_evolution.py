@@ -316,6 +316,13 @@ class TestStabilityExperiment:
         with pytest.raises(ValueError, match="delta"):
             stability_experiment(wave8, delta, "gaussian", 1.0, 2.0**-9)
 
+    @pytest.mark.parametrize("K", [np.nan, -1.0, 0.0, np.inf])
+    def test_rejects_K_not_finite_and_positive(self, wave8, K):
+        # nan, -1 and 0 gave thresholds nan, negative and 0 (verdict
+        # inconclusive), inf an infinite one (verdict bounded)
+        with pytest.raises(ValueError, match="K must be"):
+            stability_experiment(wave8, 0.01, "gaussian", 1.0, 2.0**-9, K=K)
+
     def test_gfkdv_passes_the_gate(self, grid_desk):
         # the gate checks the p = 2 identities, not the quadratic ones
         Q = petviashvili(ModelSpec(family=GFKDV, symbol=POWER(1.5), p=2), 1.0, grid_desk)

@@ -143,6 +143,12 @@ class TestPetviashvili:
             petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0,
                          grid_desk, max_iter=0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_tol_not_finite_and_positive(self, grid_desk, tol):
+        # -1 and nan ran all 500 sweeps and ended in "did not converge"
+        with pytest.raises(ValueError, match="tol"):
+            petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, grid_desk, tol=tol)
+
     def test_zero_collapse_detected_without_stabilization(self, grid_desk):
         seed = field_from_values(grid_desk, 1e-3 * np.exp(-grid_desk.x**2))
         with pytest.raises(NoSolitaryWaveError):
@@ -286,19 +292,23 @@ class TestPetviashvili:
         # the unmixed count (14 at depth 4)
         assert petviashvili(model, c, grid_desk).iterations <= sweeps
 
-    def test_sweeps_run_in_preallocated_buffers(self):
+    def test_sweeps_run_in_preallocated_buffers(self, monkeypatch):
         # on the half-grid: the samples, Q_hat and lin (n/2 float64 each),
         # the ring of 2 (MIX_DEPTH + 1) real spectra (n/2 each), the even
-        # transform's work space (about n/2, _even_work_size) and its cached
-        # twiddles (n/4), plus three quarters of an array of slack, which the
-        # twiddles of the recursive levels and first-call imports take.
-        # Measured 7.54 arrays at MIX_DEPTH 4 with the twiddles taken afresh
-        # (7.99 with a work space of n values); the full-grid iteration
-        # peaked at 10.8 at MIX_DEPTH 3
+        # transform's work space (about n/2, _even_work_size) and the
+        # temporaries of its one twiddle table (n/4; the table itself lives
+        # in a memory mapping, which tracemalloc does not see), plus three
+        # quarters of an array of slack for first-call imports.  The grid's
+        # x and xi_r are read before, as the solve's inputs.  Measured 7.08
+        # arrays at MIX_DEPTH 4 in a fresh process with the twiddles taken
+        # afresh (7.77 with one twiddle table per level on the heap, 7.99
+        # with a work space of n values); the full-grid iteration peaked at
+        # 10.8 at MIX_DEPTH 3
         grid = make_grid(1 << 16, 3200.0)
         model = ModelSpec(family=FKDV, symbol=POWER(0.75))
         seed = default_seed(model, 1.0, grid)
-        spectral._quarter_twiddle.cache_clear()
+        grid.xi_r
+        monkeypatch.setattr(spectral, "_twiddles", np.ones(1, dtype=np.complex128))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -463,11 +473,17 @@ class TestInterpolant:
         exact = np.exp(-fine.grid.x**2) * np.cos(fine.grid.x)
         np.testing.assert_allclose(fine.values, exact, rtol=0, atol=1e-12)
 
-    def test_upsample_shares_the_fine_grid(self):
-        # a seed shares the grid its solve is made on, not a second x and xi_r
-        g = make_grid(512, 50.0)
-        fine = upsample_field(field_from_values(g, np.exp(-g.x**2)), 2048)
-        assert fine.grid is make_grid(2048, g.L)
+    def test_upsampled_seed_grid_holds_nothing(self):
+        # the seed's grid is a second (n, L) value; the solve it seeds reads
+        # x and xi_r of its own grid only, so the seed's grid computes neither
+        model = ModelSpec(family=FKDV, symbol=POWER(1.0))
+        coarse = petviashvili(model, 1.0, make_grid(1024, 100.0))
+        seed = upsample_field(coarse.profile, 4096)
+        grid = make_grid(4096, 100.0)
+        petviashvili(model, 1.0, grid, seed_profile=seed)
+        assert seed.grid is not grid
+        assert "xi_r" in vars(grid)
+        assert not {"x", "xi_r"} & vars(seed.grid).keys()
 
 
 class TestRescale:
@@ -598,6 +614,16 @@ class TestMinimizeIq:
         for alpha in (0.5, 1.0, 0.3):
             with pytest.raises(ValueError):
                 minimize_iq(1.0, alpha, grid)
+
+    @pytest.mark.parametrize("kwargs", [dict(tol=0.0), dict(tol=-1.0), dict(tol=np.nan),
+                                        dict(tol=np.inf), dict(max_iter=0)],
+                             ids=["tol_zero", "tol_negative", "tol_nan", "tol_inf",
+                                  "max_iter_zero"])
+    def test_rejects_bad_budget(self, kwargs):
+        # a nan tol ran every iteration of the budget; max_iter 0 ended in
+        # ConvergenceError
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            minimize_iq(1.0, 0.75, make_grid(1024, 50.0), **kwargs)
 
     @pytest.mark.parametrize("q", [2.0, 4.0, 8.0, 12.5])
     def test_desk_grid_converges_in_few_iterations(self, grid_desk, q):

@@ -1,12 +1,10 @@
 import ast
-import gc
 import os
 import pathlib
 import re
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -80,51 +78,33 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(8, L)
 
-    def test_grids_are_interned_while_held(self):
-        g = make_grid(64, 5.0)
-        assert make_grid(64, 5) is g
-        assert make_grid(64, 10.0) is not g and make_grid(128, 5.0) is not g
-
-    def test_threads_share_one_interned_grid(self):
-        # sweep points build their grids concurrently; every thread must get
-        # the one grid of an (n, L), not a copy made between lookup and insert
-        grids = []
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                for L in np.linspace(1.0, 2.0, 50):
-                    futures = [pool.submit(make_grid, 1024, float(L)) for _ in range(8)]
-                    grids.append([f.result(timeout=10) for f in futures])
-        finally:
-            sys.setswitchinterval(switch)
-        assert all(g is row[0] for row in grids for g in row)
-
     def test_coordinates_on_demand(self):
-        # make_grid forms xi_r alone, in place; x, which no solve reads, is
-        # computed on first access and then kept
+        # a grid is the plain value (n, L, dx): x and xi_r are computed on
+        # first access and then kept, in memory mappings of their own, off the
+        # heap that tracemalloc traces
         n, L = 1 << 20, 25600.0
-        gc.collect()
-        assert (n, L) not in spectral._GRIDS
         tracemalloc.start()
         try:
             grid = make_grid(n, L)
             peak = tracemalloc.get_traced_memory()[1]
+            x, xi_r = grid.x, grid.xi_r
+            held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert peak <= (n // 2 + 1) * 8 + 64 * 1024
-        x = grid.x
+        assert peak <= 64 * 1024
+        assert held <= 1 << 20  # x and xi_r take 12 MiB; first-call imports about 0.1
         assert x.tobytes() == (-L + grid.dx * np.arange(n)).tobytes()
         assert not x.flags.writeable
         assert grid.x is x
+        assert xi_r.tobytes() == (2.0 * np.pi * np.fft.rfftfreq(n, grid.dx)).tobytes()
+        assert not xi_r.flags.writeable
+        assert grid.xi_r is xi_r
 
-    def test_interning_keeps_no_grid_alive(self):
-        g = make_grid(64, 7.25)
-        ref = weakref.ref(g)
-        del g
-        gc.collect()
-        assert ref() is None
-        assert (64, 7.25) not in spectral._GRIDS
+    def test_same_n_and_L_is_the_same_grid(self):
+        a = field_from_values(make_grid(64, 5.0), np.ones(64))
+        b = field_from_values(make_grid(64, 5), np.ones(64))
+        assert a.grid is not b.grid
+        np.testing.assert_array_equal((a + b).values, 2.0)
 
 
 class TestApplyMultiplier:
@@ -408,6 +388,39 @@ class TestEvenRfft:
         np.testing.assert_array_equal(_even_rfft(half, np.empty(N + 1), work),
                                       _even_rfft(half, np.empty(N + 1)))
 
+    @pytest.mark.parametrize("first", [1 << 18, 2], ids=["larger_first", "smaller_first"])
+    def test_one_twiddle_table_serves_every_level(self, first, monkeypatch):
+        # a level reads every (M/m)-th entry of the one table of the largest
+        # m = M asked for, bitwise equal to its own table, built first or not
+        monkeypatch.setattr(spectral, "_twiddles", np.ones(1, dtype=np.complex128))
+        spectral._quarter_twiddle(first)
+        for m in [1 << j for j in range(1, 19)]:
+            t = spectral._quarter_twiddle(m)
+            assert not t.flags.writeable
+            assert t.tobytes() == np.exp(0.5j * np.pi / m * np.arange(m // 2 + 1)).tobytes()
+        assert spectral._twiddles.size == (1 << 17) + 1
+
+    def test_threads_read_correct_twiddles_while_the_table_grows(self, monkeypatch):
+        # solves in sweep threads replace the table without a lock: a view
+        # taken from a replaced table stays valid and bitwise correct
+        sizes = [1 << j for j in range(1, 13)]
+        expected = {m: np.exp(0.5j * np.pi / m * np.arange(m // 2 + 1)).tobytes() for m in sizes}
+
+        def read(order):
+            return [spectral._quarter_twiddle(m).tobytes() == expected[m] for m in order]
+
+        rng = np.random.default_rng(0)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(20):
+                    monkeypatch.setattr(spectral, "_twiddles", np.ones(1, dtype=np.complex128))
+                    futures = [pool.submit(read, rng.permutation(sizes)) for _ in range(8)]
+                    assert all(all(f.result(timeout=10)) for f in futures)
+        finally:
+            sys.setswitchinterval(switch)
+
     def test_workspace_size(self):
         # 2N + 2 at or below the base; above it the even fold and its gap
         # (N/2 + 2) before the child's work space, and at least the N + 2
@@ -478,6 +491,21 @@ class TestKernelOwnership:
                     path.read_text().splitlines(), start=1)
                     if re.search(r"irfft\(.*\*\s*np\.fft\.rfft\(", line)]
         assert not offenders, offenders
+
+    def test_field_transforms_go_through_spectrum(self):
+        """A field's forward transform is read only through spectral._spectrum,
+        which returns the spectrum a solved wave carries instead of taking it
+        again."""
+        source = (SRC / "spectral.py").read_text()
+        accessor = next(node for node in ast.parse(source).body
+                        if getattr(node, "name", None) == "_spectrum")
+        offenders = []
+        for path in sorted(SRC.glob("*.py")):
+            for i, line in enumerate(path.read_text().splitlines(), start=1):
+                inside = path.name == "spectral.py" and accessor.lineno <= i <= accessor.end_lineno
+                if re.search(r"np\.fft\.rfft\(\s*\w+\.values", line) and not inside:
+                    offenders.append(f"{path.name}:{i}: {line.strip()}")
+        assert not offenders, "\n".join(offenders)
 
     def test_import_loads_no_scipy(self):
         """numpy is the only dependency: importing the package loads no scipy
