@@ -101,11 +101,13 @@ def weinstein(u: RealField, alpha: float, p: int = 1) -> float:
     """
     if not (p / (p + 2) < alpha <= 2.0):
         raise ValueError(f"weinstein needs alpha in ({p}/{p + 2}, 2], got {alpha}")
-    power = float(u.grid.dx * np.sum(np.abs(u.values) ** (p + 2)))
-    if power <= POWER_FLOOR:
-        raise ValueError(f"weinstein is undefined: integral of |u|^{p + 2} vanishes")
     grad_sq = _field_form(u, u.grid.xi_r**alpha)
     l2_sq = 2.0 * mass(u)
+    a = np.abs(u.values)
+    a **= p + 2  # in place, after the forms' temporaries: one array of n values
+    power = float(u.grid.dx * np.sum(a))
+    if power <= POWER_FLOOR:
+        raise ValueError(f"weinstein is undefined: integral of |u|^{p + 2} vanishes")
     return (grad_sq ** (0.5 * p / alpha)
             * l2_sq ** (((p + 2) * alpha - p) / (2.0 * alpha)) / power)
 

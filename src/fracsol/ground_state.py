@@ -15,8 +15,8 @@ Three routes to the same family of objects:
   at fixed mass, accelerated by petviashvili's Anderson mixing, whose
   minimizer is the rescaled ground state at velocity ``cstar``.  The
   preconditioner ``(theta + D^alpha)^{-1}`` makes its iteration count
-  independent of the grid's top wavenumber, and the iterate is carried as
-  its spectrum, so an iteration transforms twice.
+  independent of the grid's top wavenumber.  Like ``petviashvili`` it runs
+  on the even half-grid: an iteration takes two even transforms.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .spectral import (
     _spectrum,
     field_from_values,
     make_grid,
-    quad_form,
 )
 
 __all__ = [
@@ -145,6 +144,23 @@ def _even_dot(a: np.ndarray, b: np.ndarray) -> float:
     """sum(a*b) over a full period of two even sequences given by their
     samples 0..N: the end samples stand for themselves, the others for a pair."""
     return float(2.0 * np.dot(a, b) - a[0] * b[0] - a[-1] * b[-1])
+
+
+def _even_half(values: np.ndarray) -> np.ndarray:
+    """The even part of n samples on samples 0..n/2: sample j pairs with n - j."""
+    half = values.size // 2 + 1
+    q = np.array(values[:half])
+    q[1:] += values[:half - 2:-1]
+    q[1:] *= 0.5
+    return q
+
+
+def _even_profile(grid: Grid1D, q: np.ndarray, qhat: np.ndarray) -> RealField:
+    """The even field with samples 0..n/2 q, carrying rfft(values) = n qhat (scaled in place)."""
+    values = np.concatenate((q, q[-2:0:-1]))
+    qhat *= grid.n
+    qhat.setflags(write=False)
+    return replace(field_from_values(grid, values), spectrum=qhat)
 
 
 @dataclass(frozen=True)
@@ -283,7 +299,7 @@ def petviashvili(
     it keeps the even part of the seed on the samples 0..n/2 (x from -L to
     0), and every sample array and every spectrum (real, see
     spectral._even_rfft) has n/2 + 1 values; full-grid sums take the
-    even-sum weights.  The full profile is assembled once, at the end.
+    even-sum weights.
 
     The iterate is carried in Fourier space as well: Q_hat is computed once
     from the seed, the numerator of S is the Parseval sum over Q_hat, and
@@ -308,9 +324,8 @@ def petviashvili(
     fewest sweeps on the staged chains and the desk grid; depths 5 and 6
     took more on the desk solve and on Whitham, and each slot costs two
     rows.  The ring and the work space are freed before the full profile
-    is built, and the profile keeps n Q_hat, its real spectrum rfft(Q), as
-    RealField.spectrum, so checks and resampling of the wave transform
-    nothing.
+    is built (_even_profile); it carries its real spectrum, so checks and
+    resampling of the wave transform nothing.
     """
     if not (tol > 0 and np.isfinite(tol) and max_iter >= 1):
         raise ValueError(f"need finite tol > 0, max_iter >= 1; got tol={tol}, max_iter={max_iter}")
@@ -330,12 +345,7 @@ def petviashvili(
     if seed_profile is None:
         seed_profile = default_seed(model, c, grid)
     _same_grid(seed_profile.grid, grid)
-    seed = seed_profile.values
-    # even part of the seed on samples 0..n/2: sample j pairs with n - j
-    q = np.empty(half)
-    q[0] = seed[0]
-    np.add(seed[1:half], seed[:half - 2:-1], out=q[1:])
-    q[1:] *= 0.5
+    q = _even_half(seed_profile.values)
     work = np.empty(_even_work_size(n // 2))
     # spectra are carried scaled by 1/n, so the even transform of Q_hat is Q
     qhat = _even_rfft(q, np.empty(half), work)
@@ -392,13 +402,8 @@ def petviashvili(
     if q.max() <= 0:
         raise NumericalError("converged profile has non-positive maximum")
     del ring, G, F, nl, lin_q, q_new, scratch, r, work  # free the sweep buffers before the profile
-    values = np.empty(n)
-    values[:half] = q
-    values[half:] = q[-2:0:-1]
-    qhat *= n  # the profile keeps its spectrum, rfft(values)
-    qhat.setflags(write=False)
     return SolitaryWave(
-        profile=replace(field_from_values(grid, values), spectrum=qhat),
+        profile=_even_profile(grid, q, qhat),
         c=c,
         model=model,
         residual_sup=residual_sup,
@@ -587,8 +592,9 @@ def minimize_iq(
     iteration count does not grow with the grid's top wavenumber.  Converged
     when g_perp has L^2 norm below tol; theta then solves the Euler-Lagrange
     equation D^alpha u - u^2/2 + theta u = 0 to the same accuracy.  A
-    seed_profile must be sampled on grid; the default is the Gaussian
-    exp(-(x/3)^2).  Either is rescaled onto the mass sphere.
+    seed_profile must be sampled on grid, and only its even part is kept;
+    the default is the Gaussian exp(-(x/3)^2).  Either is rescaled onto the
+    mass sphere.
 
     The mix is petviashvili's: the flow outputs G_j = u_j - STEP d_j and
     residuals F_j = -STEP d_j of the last MIX_DEPTH + 1 iterations give
@@ -605,14 +611,14 @@ def minimize_iq(
     after a mix has raised the energy, the mixes that follow descend towards
     the saddle again (1,695 iterations instead of 130).
 
-    The iterate is carried in Fourier space as well: u_hat = rfft(u) is taken
-    once from the seed, the flow and the mix are formed on spectra, and every
-    inner product is a Parseval sum (quad_form) over the spectra.  So an
-    iteration transforms twice, rfft of u^2/2 and irfft of the new spectrum.
-    The iterations run in preallocated buffers: the samples, u_hat, the
-    multipliers, the products of quad_form and a ring of 2 (MIX_DEPTH + 1)
-    spectra, whose slot outside the history holds u^2/2, its transform and
-    g_perp until the iteration writes G_k and F_k there.
+    The minimizer is even, so the iteration runs in petviashvili's format:
+    samples 0..n/2, real spectra scaled by 1/n, and every inner product the
+    Parseval sum int u v = n dx _even_dot(u_hat, v_hat).  An iteration takes
+    two even transforms, of u^2/2 and of the new spectrum, in preallocated
+    buffers: the samples, u_hat, the multipliers, the transform's work space
+    and a ring of 2 (MIX_DEPTH + 1) spectra, whose slot outside the history
+    holds u^2/2, its transform and g_perp until the iteration writes G_k and
+    F_k there.  The profile carries its real spectrum.
     """
     if not (tol > 0 and np.isfinite(tol) and max_iter >= 1):
         raise ValueError(f"need finite tol > 0, max_iter >= 1; got tol={tol}, max_iter={max_iter}")
@@ -620,30 +626,30 @@ def minimize_iq(
         raise ValueError(f"minimize_iq needs alpha in (1/2, 1), got {alpha}")
     if not q > 0:
         raise ValueError(f"mass constraint must be positive, got {q}")
-    if seed_profile is None:
-        u = np.exp(-((grid.x / 3.0) ** 2))
-    else:
-        _same_grid(seed_profile.grid, grid)
-        u = np.array(seed_profile.values)
-
     n = grid.n
     half = n // 2 + 1
+    if seed_profile is None:
+        u = np.exp(-((grid.x[:half] / 3.0) ** 2))
+    else:
+        _same_grid(seed_profile.grid, grid)
+        u = _even_half(seed_profile.values)
     mult = grid.xi_r**alpha
     l2_sq = 2.0 * q  # int u^2 on the constraint set
+    parseval = n * grid.dx  # int u v = parseval * _even_dot(u_hat, v_hat)
     depth = MIX_DEPTH + 1
 
-    work = np.empty(2 * half)  # products of quad_form
-    uhat = np.fft.rfft(u)
-    seed_sq = quad_form(uhat, grid, 1.0, work=work)
+    work = np.empty(_even_work_size(n // 2))
+    uhat = _even_rfft(u, np.empty(half), work)
+    uhat *= 1.0 / n
+    seed_sq = parseval * _even_dot(uhat, uhat)
     if not seed_sq > 0:
         raise ValueError("seed_profile must not be zero")
     scale = np.sqrt(l2_sq / seed_sq)
     uhat *= scale
     u *= scale
     sym = np.empty(half)  # theta + D^alpha, then the preconditioner P
-    ring = np.zeros((2, depth, half), dtype=complex)
+    ring = np.zeros((2, depth, half))
     G, F = ring
-    Gv, Fv = ring.view(np.float64)
     # F holds sqrt(w) F_k, w = 2 on interior modes and 1 on the ends, so the
     # Gram matrix is the L^2 (Parseval) one
     root_w = np.full(half, np.sqrt(2.0))
@@ -653,28 +659,23 @@ def minimize_iq(
 
     energy_prev = energy_low = np.inf
     bad_steps = 0
-    theta = 0.0
-    grad_norm = np.inf
-    n_iter = 0
-    converged = False
     for n_iter in range(1, max_iter + 1):
         k = (n_iter - 1) % depth
         if hist and hist[0] == k:
             del hist[0]
         # slot k is free until the mix: F[k] holds u^2/2 and then g_perp,
-        # G[k] the transform of u^2/2 and then the tangent term
-        half_sq = np.multiply(u, u, out=Fv[k, :n])
-        kinetic = quad_form(uhat, grid, mult, work=work)
-        cubic = grid.dx * np.dot(half_sq, u)
+        # G[k] the transform of u^2/2, then P u_hat and the tangent term
+        half_sq = np.multiply(u, u, out=F[k])
+        cubic = grid.dx * _even_dot(half_sq, u)
+        half_sq *= 0.5 / n  # the transform is the 1/n-scaled spectrum
+        _even_rfft(half_sq, G[k], work)
+        kinetic = parseval * _even_dot(np.multiply(mult, uhat, out=F[k]), uhat)
         energy = 0.5 * kinetic - cubic / 6.0
         theta = (0.5 * cubic - kinetic) / l2_sq
-        half_sq *= 0.5
-        np.fft.rfft(half_sq, out=G[k])
         np.multiply(uhat, np.add(mult, theta, out=sym), out=F[k])
         g_perp = np.subtract(F[k], G[k], out=F[k])
-        grad_norm = float(np.sqrt(quad_form(g_perp, grid, 1.0, work=work)))
+        grad_norm = float(np.sqrt(parseval * _even_dot(g_perp, g_perp)))
         if grad_norm < tol:
-            converged = True
             break
         if energy > energy_prev:
             bad_steps += 1
@@ -688,30 +689,30 @@ def minimize_iq(
         above_low = energy > energy_low
         energy_low = min(energy_low, energy)
         prec = np.reciprocal(np.add(mult, max(theta, 1e-3), out=sym), out=sym)
-        tangent = (quad_form(uhat, grid, prec, g_perp, work=work)
-                   / quad_form(uhat, grid, prec, work=work))
+        np.multiply(prec, uhat, out=G[k])
+        tangent = _even_dot(G[k], g_perp) / _even_dot(G[k], uhat)
         # F[k] = -STEP d and G[k] = u_hat + F[k]
         g_perp -= np.multiply(uhat, tangent, out=G[k])
         g_perp *= prec
         g_perp *= -STEP
         np.add(uhat, F[k], out=G[k])
         F[k] *= root_w
-        _anderson_mix(Gv, Fv, gram, hist, k, out=uhat.view(np.float64), restart=above_low)
-        uhat *= np.sqrt(l2_sq / quad_form(uhat, grid, 1.0, work=work))
-        np.fft.irfft(uhat, n=n, out=u)
-    if not converged:
+        _anderson_mix(G, F, gram, hist, k, out=uhat, restart=above_low)
+        uhat *= np.sqrt(l2_sq / (parseval * _even_dot(uhat, uhat)))
+        _even_rfft(uhat, u, work)
+    else:
         raise ConvergenceError(
             f"minimize_iq did not converge within {max_iter} iterations "
             f"(projected gradient {grad_norm:.3e})"
         )
-    del ring, G, F, Gv, Fv, half_sq, g_perp  # free the ring before the final energy
-    profile = field_from_values(grid, u)
+    del ring, G, F, half_sq, g_perp, work  # free the ring before the profile
+    profile = _even_profile(grid, u, uhat)
     return MinimizerResult(
         profile=profile,
         q=float(mass(profile)),
         theta=float(theta),
         I_q=float(energy_fkdv(profile, DispersionSymbol.power(alpha)).value),
-        converged=converged,
+        converged=True,
         iterations=n_iter,
         grad_norm=grad_norm,
     )

@@ -107,6 +107,8 @@ def load_profile(path: str) -> tuple[RealField, dict]:
     if os.path.exists(sidecar):
         with open(sidecar) as fh:
             meta = json.load(fh)
+        if not isinstance(meta, dict):
+            raise ValueError(f"{sidecar}: sidecar is not a JSON object")
         bad = [f"{k}={meta[k]!r}" for k in SIDECAR_NUMBERS
                if k in meta and not isinstance(meta[k], (int, float))]
         if bad:

@@ -266,24 +266,19 @@ def l2_norm(u: RealField) -> float:
 
 
 def quad_form(uhat: np.ndarray, grid: Grid1D, weight: np.ndarray | float,
-              vhat: np.ndarray | None = None, work: np.ndarray | None = None) -> float:
+              vhat: np.ndarray | None = None) -> float:
     """Parseval form of int (m(D)u) v dx from the one-sided spectra
     uhat = rfft(u) and vhat = rfft(v) (v = u when vhat is None), with
     weight = m(xi_r) for a real, even symbol m.
 
     Interior modes stand for the pair +-xi and count twice; the mean and
     Nyquist modes count once.  A real spectrum (of an even field, see
-    _even_rfft) has no imaginary products to add.  work, when given, is a
-    float64 buffer of at least 2 * uhat.size values (uhat.size when either
-    spectrum is real) that holds the products in place of temporaries.
+    _even_rfft) has no imaginary products to add.
     """
     vhat = uhat if vhat is None else vhat
-    m = uhat.size
-    both_complex = np.iscomplexobj(uhat) and np.iscomplexobj(vhat)
-    work = np.empty(2 * m if both_complex else m) if work is None else work
-    power = np.multiply(uhat.real, vhat.real, out=work[:m])
-    if both_complex:
-        power += np.multiply(uhat.imag, vhat.imag, out=work[m:2 * m])
+    power = uhat.real * vhat.real
+    if np.iscomplexobj(uhat) and np.iscomplexobj(vhat):
+        power += uhat.imag * vhat.imag
     power *= weight
     return float(grid.dx / grid.n * (2.0 * np.sum(power) - power[0] - power[-1]))
 

@@ -1,9 +1,10 @@
 """Shared test utilities: the two-sided wavenumber lattice and the direct
-trigonometric-interpolant evaluator for oracles, and a recorder of the
-library's 1D transforms."""
+trigonometric-interpolant evaluator for oracles, and recorders of the
+library's 1D transforms and of the solvers' even transforms."""
 
 import numpy as np
 
+from fracsol import ground_state
 from fracsol.ground_state import _interp_weights
 
 INTERP_CHUNK = 512  # evaluation points per block of sample_interpolant
@@ -27,6 +28,20 @@ def spy_transforms(monkeypatch):
             return out
         monkeypatch.setattr(np.fft, name, wrapper)
     return calls
+
+
+def spy_even_rfft(monkeypatch):
+    """Wrap the solvers' even transform ground_state._even_rfft for the rest
+    of the test; every call appends the size of its input to the returned
+    list."""
+    sizes = []
+
+    def spy(x, out, work=None, _original=ground_state._even_rfft):
+        sizes.append(x.size)
+        return _original(x, out, work)
+
+    monkeypatch.setattr(ground_state, "_even_rfft", spy)
+    return sizes
 
 
 def sample_interpolant(u, points):

@@ -305,6 +305,22 @@ class TestOtherCommands:
         # the flag as the CLI spells it, or the parameter the library names
         assert argv[1].lstrip("-") in payload["message"].replace("_", "-")
 
+    @pytest.mark.parametrize("command, sidecar", [("verify", "5"), ("evolve", '"abc"')],
+                             ids=["verify_sidecar_number", "evolve_sidecar_string"])
+    def test_sidecar_not_an_object_exit_2(self, command, sidecar, tmp_path):
+        # a sidecar that parses as JSON but is no object is a usage error;
+        # it raised TypeError (exit 1, a traceback, no error JSON)
+        grid = make_grid(256, 20.0)
+        path = str(tmp_path / "q.csv")
+        save_profile(field_from_values(grid, np.exp(-grid.x**2)), path)
+        (tmp_path / "q.json").write_text(sidecar + "\n")
+        report = str(tmp_path / "r.json")
+        horizon = ["--T", "0.5"] if command == "evolve" else []
+        assert main([command, "--profile", path] + horizon + ["--report", report]) == 2
+        payload = json.load(open(report))
+        assert payload["error"] == "ValueError"
+        assert "not a JSON object" in payload["message"]
+
     def test_iq_scaling_command(self, tmp_path):
         report = str(tmp_path / "iq.json")
         code = main(["iq-scaling", "--alpha", "0.75", "--q", "4.0", "--thetas", "1",

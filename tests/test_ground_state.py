@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import sample_interpolant, spy_transforms, two_sided_xi
+from helpers import sample_interpolant, spy_even_rfft, spy_transforms, two_sided_xi
 
 from fracsol import (
     ConvergenceError,
@@ -17,6 +17,7 @@ from fracsol import (
     NoSolitaryWaveError,
     cstar,
     dilate_field,
+    energy_fkdv,
     energy_norm,
     field_from_values,
     identity_suite,
@@ -27,6 +28,7 @@ from fracsol import (
     quad_form,
     rescale_solitary,
     solve_refined,
+    spectral_tail,
     weinstein,
 )
 from fracsol import ground_state, spectral
@@ -162,13 +164,7 @@ class TestPetviashvili:
         # rfft/irfft pair took 2 n.  Besides the sweeps, the seed and each
         # residual check take one even transform
         calls = spy_transforms(monkeypatch)
-        transforms = []
-
-        def spy_even_rfft(x, out, work=None, _original=ground_state._even_rfft):
-            transforms.append(x.size)
-            return _original(x, out, work)
-
-        monkeypatch.setattr(ground_state, "_even_rfft", spy_even_rfft)
+        transforms = spy_even_rfft(monkeypatch)
         wave = petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, grid_desk)
         monkeypatch.undo()
         n = grid_desk.n
@@ -185,13 +181,7 @@ class TestPetviashvili:
         # rfft of n/16, 0.53 n points, so a sweep's two transforms take
         # 1.06 n where the base path alone took 1.5 n
         calls = spy_transforms(monkeypatch)
-        transforms = []
-
-        def spy_even_rfft(x, out, work=None, _original=ground_state._even_rfft):
-            transforms.append(x.size)
-            return _original(x, out, work)
-
-        monkeypatch.setattr(ground_state, "_even_rfft", spy_even_rfft)
+        transforms = spy_even_rfft(monkeypatch)
         grid = make_grid(1 << 16, 200.0)
         wave = petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, grid)
         monkeypatch.undo()
@@ -217,12 +207,12 @@ class TestPetviashvili:
             events.append(("dot", a.copy(), _original(a, b)))
             return events[-1][2]
 
-        def spy_even_rfft(x, out, work=None, _original=ground_state._even_rfft):
+        def record_even_rfft(x, out, work=None, _original=ground_state._even_rfft):
             events.append(("transform", x.copy(), _original(x, out, work).copy()))
             return out
 
         monkeypatch.setattr(ground_state, "_even_dot", spy_even_dot)
-        monkeypatch.setattr(ground_state, "_even_rfft", spy_even_rfft)
+        monkeypatch.setattr(ground_state, "_even_rfft", record_even_rfft)
         grid = make_grid(8192, 200.0)
         n, tol = grid.n, 1e-12
         wave = petviashvili(ModelSpec(family=FKDV, symbol=POWER(0.75)), 1.0, grid, tol=tol)
@@ -347,9 +337,26 @@ class TestAttachedSpectrum:
         model = ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived")
         assert_carries_its_spectrum(petviashvili(model, 2.0, grid_desk).profile)
 
-    def test_large_solve(self):
+    @pytest.fixture(scope="class")
+    def large_wave(self):
         model = ModelSpec(family=FKDV, symbol=POWER(0.75))
-        assert_carries_its_spectrum(petviashvili(model, 1.0, make_grid(1 << 16, 3200.0)).profile)
+        return petviashvili(model, 1.0, make_grid(1 << 16, 3200.0))
+
+    def test_large_solve(self, large_wave):
+        assert_carries_its_spectrum(large_wave.profile)
+
+    def test_weinstein_holds_one_array_of_the_wave(self, large_wave):
+        # |u|^(p+2) is raised in place, after the forms' temporaries are
+        # gone: one array of n values (the power of a separate |u| held two)
+        u = large_wave.profile
+        gc.collect()
+        tracemalloc.start()
+        try:
+            weinstein(u, 0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= u.values.nbytes + 64 * 1024
 
     def test_upsampled_wave(self, q075_wave):
         # the real spectrum of a wave gives the fine samples by one even
@@ -667,12 +674,43 @@ class TestMinimizeIq:
                         seed_profile=field_from_values(grid_desk, np.zeros(grid_desk.n)))
 
     def test_two_transforms_per_iteration(self, grid_desk, monkeypatch):
-        # one rfft of the seed, an rfft of u^2/2 and an irfft of the update
-        # per iteration (the last iteration stops after its rfft) and one rfft
-        # of the final energy
+        # even transforms of the half-grid: one of the seed, one of u^2/2 and
+        # one of the update per iteration (the last iteration stops after
+        # u^2/2), and none for the final energy.  On the desk grid each is an
+        # rfft of n/2 points and an irfft of n/4: 1.5 n points per iteration
+        # where the full-grid rfft/irfft pair took 2 n
         calls = spy_transforms(monkeypatch)
+        transforms = spy_even_rfft(monkeypatch)
         res = minimize_iq(4.0, 0.75, grid_desk)
-        assert len(calls) <= 2 * res.iterations + 2
+        monkeypatch.undo()
+        n = grid_desk.n
+        assert transforms == [n // 2 + 1] * (2 * res.iterations)
+        assert sum(max(a.size, out.size) for _, a, out in calls) <= 1.5 * n * res.iterations
+
+    def test_odd_part_of_seed_is_dropped(self, grid_desk):
+        # like petviashvili, the iteration keeps the even part of its seed,
+        # so an odd perturbation leaves the minimizer unchanged
+        x = grid_desk.x
+        seed = field_from_values(grid_desk, np.exp(-(x / 3.0) ** 2))
+        odd = field_from_values(grid_desk, x * np.exp(-(x / 4.0) ** 2))
+        plain = minimize_iq(4.0, 0.75, grid_desk, seed_profile=seed)
+        kicked = minimize_iq(4.0, 0.75, grid_desk, seed_profile=seed + odd)
+        assert np.max(np.abs(kicked.profile.values - plain.profile.values)) <= 1e-12
+
+    def test_checks_of_the_minimizer_read_its_spectrum(self, result, monkeypatch):
+        # the minimizer carries its real spectrum: its energy and its tail
+        # read it and transform nothing, and upsampling it takes the one even
+        # transform of the fine half-grid
+        res, grid = result
+        assert_carries_its_spectrum(res.profile)
+        calls = spy_transforms(monkeypatch)
+        assert energy_fkdv(res.profile, POWER(0.75)).value == res.I_q
+        spectral_tail(res.profile)
+        assert calls == []
+        transforms = spy_even_rfft(monkeypatch)
+        fine = upsample_field(res.profile, 2 * grid.n)
+        assert transforms == [grid.n + 1]
+        assert np.array_equal(fine.values[1:], fine.values[:0:-1])
 
 
 class TestDilateField:

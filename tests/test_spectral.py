@@ -507,6 +507,18 @@ class TestKernelOwnership:
                     offenders.append(f"{path.name}:{i}: {line.strip()}")
         assert not offenders, "\n".join(offenders)
 
+    def test_solvers_transform_through_the_even_kernel(self):
+        """petviashvili and minimize_iq take every transform with
+        spectral._even_rfft: in ground_state only upsample_field, which also
+        resamples fields without a real spectrum, calls np.fft."""
+        source = (SRC / "ground_state.py").read_text()
+        upsample = next(node for node in ast.parse(source).body
+                        if getattr(node, "name", None) == "upsample_field")
+        offenders = [f"ground_state.py:{i}: {line.strip()}"
+                     for i, line in enumerate(source.splitlines(), start=1)
+                     if "np.fft" in line and not upsample.lineno <= i <= upsample.end_lineno]
+        assert not offenders, "\n".join(offenders)
+
     def test_import_loads_no_scipy(self):
         """numpy is the only dependency: importing the package loads no scipy
         module."""
