@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextvars
+import functools
 import io
 import json
 import os
@@ -474,8 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args leaves the parser as it is, so sweep
+# threads share it, and main looks the handler up in COMMANDS at call time
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler, _, defaults = COMMANDS[args.cmd]
     report = getattr(args, "report", None)  # the flag, until the config resolves
     try:

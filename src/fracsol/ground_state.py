@@ -318,14 +318,16 @@ def petviashvili(
     l^2 norms are the reported residuals.  The sweeps run in preallocated
     buffers: the samples, Q_hat and c + p(D) (a row of n/2 + 1 values each),
     a ring of 2 (MIX_DEPTH + 1) spectra and the transform's work space of
-    about n/2 values (spectral._even_work_size).  The nonlinearity, the new
-    samples, the sup change and the residual check use the ring slots
-    outside the history.  MIX_DEPTH = 4 is the depth measured to take the
-    fewest sweeps on the staged chains and the desk grid; depths 5 and 6
-    took more on the desk solve and on Whitham, and each slot costs two
-    rows.  The ring and the work space are freed before the full profile
-    is built (_even_profile); it carries its real spectrum, so checks and
-    resampling of the wave transform nothing.
+    about n/2 values, or n from n = 2^17 on, where a helper thread takes the
+    odd half of each transform beside the calling thread's even half, with
+    bitwise the same output (spectral._even_rfft, _even_work_size).  The
+    nonlinearity, the new samples, the sup change and the residual check
+    use the ring slots outside the history.  MIX_DEPTH = 4 is the depth
+    measured to take the fewest sweeps on the staged chains and the desk
+    grid; depths 5 and 6 took more on the desk solve and on Whitham, and
+    each slot costs two rows.  The ring and the work space are freed before
+    the full profile is built (_even_profile); it carries its real
+    spectrum, so checks and resampling of the wave transform nothing.
     """
     if not (tol > 0 and np.isfinite(tol) and max_iter >= 1):
         raise ValueError(f"need finite tol > 0, max_iter >= 1; got tol={tol}, max_iter={max_iter}")

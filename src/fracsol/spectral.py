@@ -26,8 +26,12 @@ steppers) manipulates fields through Fourier multipliers on this box:
   n/2 + 1 samples.  ``_even_rfft`` takes it with one irfft of length n/4
   and the cosine transform of half the size, down to one rfft of length
   at most _EVEN_BASE: about n/2 transform points in all, in a work space
-  of about n/2 values (``_even_work_size``).  It is its own inverse up to
-  the factor 1/n,
+  of about n/2 values (``_even_work_size``).  From n/2 = _EVEN_SPLIT on,
+  one helper thread takes the irfft half, on another CPU than the
+  caller's, while the calling thread takes the cosine-transform half, so
+  the two run on two cores (pocketfft releases the GIL), in a work space
+  of about n values; only that top level splits, and the output is
+  bitwise that of one thread.  It is its own inverse up to the factor 1/n,
 * a field may carry its spectrum rfft(values) (``RealField.spectrum``):
   a solve keeps the real spectrum of the even profile it returns, and
   ``_spectrum`` is the one place that reads a field's transform, the
@@ -43,6 +47,8 @@ nobody reads, such as that of a resampled seed, holds no array.
 from __future__ import annotations
 
 import mmap
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -353,15 +359,55 @@ def _quarter_twiddle(m: int) -> np.ndarray:
 
 _EVEN_BASE = 4096  # largest N whose even outputs _even_rfft takes with one rfft;
 # from 1024 to 65536 it made no measurable difference to the transform time
+_EVEN_SPLIT = 1 << 16  # smallest N whose odd half _even_rfft hands to the helper thread
+_helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fracsol-odd-half")
+# the one helper thread: it starts at the first transform that splits; pocketfft
+# releases the GIL, so the two halves run on two cores
+_CPUS = frozenset(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else frozenset()
+
+
+def _cpu() -> int | None:
+    """The CPU the calling thread runs on, or None where /proc does not say."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _odd_half(caller_cpu: int | None, x: np.ndarray, out: np.ndarray,
+              twiddle: np.ndarray, work: np.ndarray) -> None:
+    """_odd_outputs on the helper thread, kept off caller_cpu, the CPU of the
+    thread that handed it the work.  Left to the kernel, the helper woke on
+    the caller's CPU whenever the other virtual CPU of a shared 2-core
+    x86-64 VM looked busy to the guest, and the two halves took turns on
+    one core: 12 sweeps of a 2^20-point solve ran no faster than on one
+    thread, and about 30% faster with the helper kept off the caller's
+    CPU."""
+    if caller_cpu is not None and len(_CPUS) > 1:
+        try:
+            os.sched_setaffinity(0, _CPUS - {caller_cpu})
+        except OSError:  # the CPUs may have changed; the helper runs where it is
+            pass
+    _odd_outputs(x, out, twiddle, work)
+
+
+def _fold_work_size(N: int) -> int:
+    """Float64 values of work space that one thread's transform of N + 1
+    samples uses: W(N) = 2N + 2 up to _EVEN_BASE and
+    max(N/2 + 2 + W(N/2), N + 2) above it, about N + _EVEN_BASE."""
+    if N <= _EVEN_BASE:
+        return 2 * N + 2
+    return max(N // 2 + 2 + _fold_work_size(N // 2), N + 2)
 
 
 def _even_work_size(N: int) -> int:
     """Float64 values of work space that _even_rfft of N + 1 samples uses:
-    W(N) = 2N + 2 up to _EVEN_BASE and max(N/2 + 2 + W(N/2), N + 2) above
-    it, about N + _EVEN_BASE."""
-    if N <= _EVEN_BASE:
-        return 2 * N + 2
-    return max(N // 2 + 2 + _even_work_size(N // 2), N + 2)
+    _fold_work_size(N), about N + _EVEN_BASE, below _EVEN_SPLIT; from it on,
+    N + 2 more for the odd half that the helper thread takes beside the even
+    one, about 2N in all."""
+    size = _fold_work_size(N)
+    return size + N + 2 if N >= _EVEN_SPLIT else size
 
 
 def _even_rfft(x: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
@@ -370,35 +416,74 @@ def _even_rfft(x: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -
     The spectrum of an even sequence is real and even, so applying the
     transform twice returns n * x.
 
-    The even outputs are the rfft of length N of e_j = x_j + x_{N-j}.  That
-    sequence is even with period N, so above N = _EVEN_BASE they are this
-    transform of e_0..e_{N/2}, held in work[:N/2 + 1], with work[N/2 + 2:]
-    as the work space of that call (the recursive split of FFTW's REDFT00;
-    Frigo & Johnson, Proc. IEEE 93, 2005); at or below it, one rfft of
-    length N.  The odd outputs are the DCT-III
-    d_0 + 2 sum_{0<j<N/2} d_j cos(pi j (2m+1)/N) of d_j = x_j - x_{N-j},
-    taken by Makhoul's method (IEEE TASSP 28, 1980) with one irfft of
-    length N/2, in work[:N + 2] once the even outputs are written.  So the
-    transform takes N + _EVEN_BASE/2 transform points above the base and
-    3N/2 at or below it.  Both steps keep the accuracy of the rfft; the
-    cumulative-sum recurrence of the single-FFT cosine transform does not.
-    N must be a power of two.  work, when given, is a float64 buffer of at
-    least _even_work_size(N) values (about N) that holds the intermediates
-    in place of temporaries.
+    The even outputs out[0::2] are the rfft of length N of the fold
+    e_j = x_j + x_{N-j}, taken on one thread (_even_outputs).  The odd
+    outputs out[1::2] are a DCT-III of the difference d_j = x_j - x_{N-j}
+    (_odd_outputs).  The two halves read only x and write disjoint entries
+    of out.  From N = _EVEN_SPLIT on, the helper thread takes the odd half
+    in work[_fold_work_size(N):], on another CPU than the caller's
+    (_odd_half), while the calling thread takes the even half.  The caller
+    waits for the helper before it returns, also when its own half raises.
+    Only this top level splits: the recursion of the even half and the
+    helper submit nothing, so threads that transform at the same time
+    share the one helper.  The output is bitwise that of the one-thread
+    order, in which the odd half follows the even one in the same work
+    space, as below _EVEN_SPLIT.  Above N = _EVEN_BASE the transform takes
+    N + _EVEN_BASE/2 transform points, and 3N/2 at or below it.  Both
+    halves keep the accuracy of the rfft; the cumulative-sum recurrence of
+    the single-FFT cosine transform does not.  N must be a power of two.
+    work, when given, is a float64 buffer of at least _even_work_size(N)
+    values (about N, or 2N from _EVEN_SPLIT on) that holds the
+    intermediates in place of temporaries.
     """
     N = x.size - 1
-    m = N // 2
-    h = m // 2
     work = np.empty(_even_work_size(N)) if work is None else work
-    twiddle = _quarter_twiddle(m)  # first: the recursion reads views of its table
+    twiddle = _quarter_twiddle(N // 2)  # first: the recursion reads views of its table
+    if N < _EVEN_SPLIT:
+        _even_outputs(x, out, work)
+        _odd_outputs(x, out, twiddle, work)
+        return out
+    odd = _helper.submit(_odd_half, _cpu(), x, out, twiddle, work[_fold_work_size(N):])
+    try:
+        _even_outputs(x, out, work)
+    finally:
+        wait((odd,))  # the helper writes into out and work until it is done
+    odd.result()  # raises the helper's error, if any
+    return out
+
+
+def _even_outputs(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """out[0::2] of _even_rfft, in work[:_fold_work_size(N)].
+
+    The fold e_j = x_j + x_{N-j} is even with period N, so above
+    N = _EVEN_BASE its rfft is the one-thread transform of e_0..e_{N/2},
+    held in work[:N/2 + 1], with work[N/2 + 2:] as the work space of that
+    call (the recursive split of FFTW's REDFT00; Frigo & Johnson, Proc.
+    IEEE 93, 2005); at or below it, one rfft of length N."""
+    N = x.size - 1
     if N > _EVEN_BASE:
+        m = N // 2
         e = np.add(x[:m + 1], x[N:m - 1:-1], out=work[:m + 1])
-        _even_rfft(e, out[0::2], work[m + 2:])
+        sub = work[m + 2:]
+        _even_outputs(e, out[0::2], sub)
+        _odd_outputs(e, out[0::2], _quarter_twiddle(m // 2), sub)
     else:
         spec = work[N:2 * N + 2].view(np.complex128)  # N/2 + 1 modes
         e = np.add(x[:N], x[N:0:-1], out=work[:N])
         np.fft.rfft(e, out=spec)
         np.copyto(out[0::2], spec.real)
+
+
+def _odd_outputs(x: np.ndarray, out: np.ndarray, twiddle: np.ndarray,
+                 work: np.ndarray) -> None:
+    """out[1::2] of _even_rfft, in work[:N + 2], with twiddle =
+    _quarter_twiddle(N/2): the DCT-III
+    d_0 + 2 sum_{0<j<N/2} d_j cos(pi j (2m+1)/N) of d_j = x_j - x_{N-j},
+    taken by Makhoul's method (IEEE TASSP 28, 1980) with one irfft of
+    length N/2."""
+    N = x.size - 1
+    m = N // 2
+    h = m // 2
     # the odd outputs z_j = out[2j+1], reordered as y_i = z_{2i} and
     # y_{m-1-i} = z_{2i+1}, are the irfft of the half spectrum
     # vhat_k = exp(1j*pi*k/(2m)) (d_k - 1j d_{m-k}), k <= m/2, with d_m = 0,
@@ -411,4 +496,3 @@ def _even_rfft(x: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -
     y = np.fft.irfft(vhat, m, norm="forward", out=work[m + 2:2 * m + 2])
     out[1::4] = y[:h]
     out[3::4] = y[:h - 1:-1]
-    return out

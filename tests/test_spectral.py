@@ -4,6 +4,8 @@ import pathlib
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -382,11 +384,95 @@ class TestEvenRfft:
     @pytest.mark.parametrize("N", [4096, 8192, 1 << 16, 1 << 18])
     def test_exact_workspace(self, N, rng):
         # the recursion reuses its work space: the child works past the even
-        # fold, the odd half in the first N + 2 values once the child is done
+        # fold, the odd half in the first N + 2 values once the child is done;
+        # from _EVEN_SPLIT on, the helper's odd half works in the N + 2 values
+        # past the even half's
         half = rng.standard_normal(N + 1)
         work = np.full(_even_work_size(N), np.nan)
         np.testing.assert_array_equal(_even_rfft(half, np.empty(N + 1), work),
                                       _even_rfft(half, np.empty(N + 1)))
+
+    @pytest.mark.parametrize("N", [1 << 16, 1 << 17, 1 << 18])
+    def test_helper_thread_gives_the_one_thread_bits(self, N, rng, monkeypatch):
+        # from _EVEN_SPLIT on, the helper thread takes the odd half of the top
+        # level only; with the split moved past N, the caller takes both
+        assert N >= spectral._EVEN_SPLIT
+        threads = []
+
+        def odd(x, out, twiddle, work, _original=spectral._odd_outputs):
+            threads.append((x.size - 1, threading.get_ident()))
+            _original(x, out, twiddle, work)
+
+        for half in self.halves(2 * N, rng):
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_EVEN_SPLIT", 2 * N)
+                serial = _even_rfft(half, np.empty(N + 1))
+            threads.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_odd_outputs", odd)
+                split = _even_rfft(half, np.empty(N + 1))
+            assert split.tobytes() == serial.tobytes()
+            helper = {size: ident for size, ident in threads}
+            assert helper.pop(N) != threading.get_ident()
+            assert set(helper.values()) == {threading.get_ident()}
+
+    def test_threads_share_the_helper(self, rng, monkeypatch):
+        # more threads than cores transforming different inputs at once, with
+        # short switch intervals: each gets its one-thread result bitwise
+        N = 1 << 17
+        inputs = [rng.standard_normal(N + 1) for _ in range(4)]
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_EVEN_SPLIT", 2 * N)
+            expected = [_even_rfft(x, np.empty(N + 1)).tobytes() for x in inputs]
+        start = threading.Barrier(len(inputs))
+
+        def transform(x):
+            start.wait(timeout=10)
+            return [_even_rfft(x, np.empty(N + 1)).tobytes() for _ in range(5)]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(inputs)) as pool:
+                results = list(pool.map(transform, inputs, timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        for got, want in zip(results, expected):
+            assert got == [want] * 5
+
+    def test_waits_for_the_helper_when_its_own_half_raises(self, rng, monkeypatch):
+        # out one value short: the caller's even half fails its copy while the
+        # slowed helper still writes; the error leaves only after the helper
+        N = spectral._EVEN_SPLIT
+        x = rng.standard_normal(N + 1)
+        expected = _even_rfft(x, np.empty(N + 1)).tobytes()
+        finished = []
+
+        def slow_odd(x, out, twiddle, work, _original=spectral._odd_outputs):
+            if x.size == N + 1:
+                time.sleep(0.2)
+            _original(x, out, twiddle, work)
+            finished.append(x.size - 1)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_odd_outputs", slow_odd)
+            with pytest.raises(ValueError):
+                _even_rfft(x, np.empty(N))
+            assert N in finished
+        assert _even_rfft(x, np.empty(N + 1)).tobytes() == expected
+
+    @pytest.mark.skipif(len(spectral._CPUS) < 2, reason="needs two CPUs")
+    def test_helper_keeps_off_the_callers_cpu(self, rng, monkeypatch):
+        # the helper takes every CPU the process may use but the caller's,
+        # and follows the caller when it moves
+        assert spectral._cpu() in spectral._CPUS
+        N = spectral._EVEN_SPLIT
+        x = rng.standard_normal(N + 1)
+        for cpu in sorted(spectral._CPUS)[:2]:
+            monkeypatch.setattr(spectral, "_cpu", lambda cpu=cpu: cpu)
+            _even_rfft(x, np.empty(N + 1))
+            helper_cpus = spectral._helper.submit(os.sched_getaffinity, 0).result(timeout=10)
+            assert helper_cpus == spectral._CPUS - {cpu}
 
     @pytest.mark.parametrize("first", [1 << 18, 2], ids=["larger_first", "smaller_first"])
     def test_one_twiddle_table_serves_every_level(self, first, monkeypatch):
@@ -424,10 +510,12 @@ class TestEvenRfft:
     def test_workspace_size(self):
         # 2N + 2 at or below the base; above it the even fold and its gap
         # (N/2 + 2) before the child's work space, and at least the N + 2
-        # of the odd half: 528,400 values for the 2^20-point grid
+        # of the odd half; from _EVEN_SPLIT on, N + 2 more for the helper's
+        # odd half: 528,400 + 524,290 values for the 2^20-point grid
         assert [_even_work_size(N) for N in (8, 4096)] == [18, 8194]
         assert _even_work_size(8192) == 4096 + 2 + 8194
-        assert _even_work_size(1 << 19) == 528400
+        assert _even_work_size(1 << 15) == spectral._fold_work_size(1 << 15)
+        assert _even_work_size(1 << 19) == 528400 + (1 << 19) + 2
 
     def test_petviashvili_residual_floor(self):
         # the even transform keeps the accuracy of the rfft: the solve reaches
