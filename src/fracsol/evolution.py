@@ -100,7 +100,9 @@ def evolve(
     infinite sample (flag "nan") both stop the integration and return a
     flagged partial trace; each step reads both from one max and one min of
     its new samples.  A blown-up state is recorded as the last entry; a NaN
-    state cannot be, so the trace ends at the last finite record.
+    state cannot be, so the trace ends at the last finite record.  The
+    steps run in eight preallocated spectra and one sample row, and a
+    record copies the samples into the field it keeps.
     """
     if not T > 0 or not dt > 0:
         raise ValueError("T and dt must be positive")
@@ -139,12 +141,18 @@ def evolve(
     if bound > 4.0:
         warnings.warn(f"{model.family} stability bound dt (p+1) sup^p max|N| = {bound:.2f} > 4")
     E, E2, Q, f1, f2x2, f3 = _etdrk4_coefficients(lin, dt)
+    # the step runs in these buffers; every product keeps the operand order
+    # of its expression a * b, as np.multiply(a, b, out=...): with fused
+    # multiply-adds a complex product need not round alike both ways round
+    uhat, n0, na, nb, nc, e2u, a, b = np.empty((8, xi_r.size), dtype=complex)
+    v = np.empty(grid.n)  # the sample row
 
-    def nonlinear(vhat, v=None):
-        """v = irfft(vhat) when the caller already holds it."""
-        if v is None:
-            v = np.fft.irfft(vhat, n=grid.n)
-        return nl_mult * np.fft.rfft(v ** (p + 1))
+    def nonlinear(out, vhat=None):
+        """nl_mult * rfft(v ** (p + 1)) into out, for the samples v of vhat,
+        which the row takes first when vhat is given; the row is overwritten."""
+        samples = v if vhat is None else np.fft.irfft(vhat, n=grid.n, out=v)
+        samples **= p + 1
+        return np.multiply(nl_mult, np.fft.rfft(samples, out=out), out=out)
 
     times, dists = [], []
     conserved = {name: [] for name in pair}
@@ -156,32 +164,38 @@ def evolve(
         if track_orbit is not None:
             dists.append(orbital_distance(u_field, track_orbit)[0])
 
-    uhat = _spectrum(u0)
+    np.copyto(uhat, _spectrum(u0))
     # the samples of uhat; each step's blow-up check refreshes them for the next
-    u_vals = np.fft.irfft(uhat, n=grid.n)
+    np.fft.irfft(uhat, n=grid.n, out=v)
     record(0.0, u0)
     flag = None
     u_field = u0
     for step in range(1, n_steps + 1):
-        n0 = nonlinear(uhat, u_vals)
-        e2u = E2 * uhat
-        a = e2u + Q * n0
-        na = nonlinear(a)
-        b = e2u + Q * na
-        nb = nonlinear(b)
-        c = E2 * a + Q * (2.0 * nb - n0)
-        nc = nonlinear(c)
-        uhat = E * uhat + f1 * n0 + f2x2 * (na + nb) + f3 * nc
+        nonlinear(n0)
+        np.multiply(E2, uhat, out=e2u)
+        np.add(e2u, np.multiply(Q, n0, out=a), out=a)
+        nonlinear(na, a)
+        np.add(e2u, np.multiply(Q, na, out=b), out=b)
+        nonlinear(nb, b)
+        # c = E2 a + Q (2 nb - n0) in b, with e2u as the work row
+        tmp = np.subtract(np.multiply(2.0, nb, out=e2u), n0, out=e2u)
+        c = np.add(np.multiply(E2, a, out=b), np.multiply(Q, tmp, out=tmp), out=b)
+        nonlinear(nc, c)
+        # uhat = E uhat + f1 n0 + f2x2 (na + nb) + f3 nc
+        np.multiply(E, uhat, out=uhat)
+        np.add(uhat, np.multiply(f1, n0, out=n0), out=uhat)
+        np.add(uhat, np.multiply(f2x2, np.add(na, nb, out=na), out=na), out=uhat)
+        np.add(uhat, np.multiply(f3, nc, out=nc), out=uhat)
 
-        u_vals = np.fft.irfft(uhat, n=grid.n)
-        sup = _sup(u_vals)  # NaN or inf when a sample is
+        np.fft.irfft(uhat, n=grid.n, out=v)
+        sup = _sup(v)  # NaN or inf when a sample is
         if not np.isfinite(sup):
             flag = "nan"
             break
         if sup > BLOWUP_FACTOR * max(sup0, 1e-300):
             flag = "blowup"
         if flag is not None or step % record_every == 0 or step == n_steps:
-            u_field = field_from_values(grid, u_vals)
+            u_field = field_from_values(grid, v.copy())  # the field keeps its samples read-only
             record(step * dt, u_field)
             if flag is not None:
                 break
@@ -217,11 +231,11 @@ def orbital_distance(u: RealField, Q: SolitaryWave) -> tuple[float, float]:
     _same_grid(grid, Q.profile.grid)
     uhat = _spectrum(u)
     qhat = _spectrum(Q.profile)
-    weight = 1.0 + Q.model.symbol(grid.xi_r)
+    xi = grid.xi_r
+    weight = 1.0 + Q.model.symbol(xi)
     cross = weight * uhat * np.conj(qhat)
     z0 = int(np.argmax(np.fft.irfft(cross, n=grid.n))) * grid.dx
     cross[1:-1] *= 2.0  # now C(y) = Re sum_k cross_k e^{i xi_k y}
-    xi = grid.xi_r
     z = z0
     for _ in range(NEWTON_CAP):
         terms = cross * np.exp(1j * xi * z)
@@ -233,7 +247,7 @@ def orbital_distance(u: RealField, Q: SolitaryWave) -> tuple[float, float]:
         z += step
         if abs(step) < 1e-13 * max(1.0, abs(z)):
             break
-    dist = np.sqrt(quad_form(_shift_phase(grid, z) * uhat - qhat, grid, weight))
+    dist = np.sqrt(quad_form(_shift_phase(xi, z) * uhat - qhat, grid, weight))
     y_star = (z + grid.L) % (2.0 * grid.L) - grid.L
     return float(dist), float(y_star)
 

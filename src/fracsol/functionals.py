@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .spectral import DispersionSymbol, RealField, _field_form
+from .spectral import DispersionSymbol, RealField, _field_form, _xi_power
 
 __all__ = [
     "FunctionalValue",
@@ -101,7 +101,7 @@ def weinstein(u: RealField, alpha: float, p: int = 1) -> float:
     """
     if not (p / (p + 2) < alpha <= 2.0):
         raise ValueError(f"weinstein needs alpha in ({p}/{p + 2}, 2], got {alpha}")
-    grad_sq = _field_form(u, u.grid.xi_r**alpha)
+    grad_sq = _field_form(u, _xi_power(u.grid, alpha))
     l2_sq = 2.0 * mass(u)
     a = np.abs(u.values)
     a **= p + 2  # in place, after the forms' temporaries: one array of n values

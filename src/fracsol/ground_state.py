@@ -40,6 +40,7 @@ from .spectral import (
     _even_work_size,
     _same_grid,
     _spectrum,
+    _xi_power,
     field_from_values,
     make_grid,
 )
@@ -348,6 +349,7 @@ def petviashvili(
         seed_profile = default_seed(model, c, grid)
     _same_grid(seed_profile.grid, grid)
     q = _even_half(seed_profile.values)
+    del seed_profile  # not held through the sweeps: solve_refined passes its seeds inline
     work = np.empty(_even_work_size(n // 2))
     # spectra are carried scaled by 1/n, so the even transform of Q_hat is Q
     qhat = _even_rfft(q, np.empty(half), work)
@@ -432,7 +434,7 @@ def sample_interpolant_uniform(u: RealField, start: float, step: float,
     Exact (to roundoff) for the band-limited function the samples represent;
     the Nyquist mode is taken in the real-even convention."""
     weights, xi_r = _interp_weights(u)
-    g = weights * np.exp(1j * xi_r * (start - u.grid.x[0]))
+    g = weights * np.exp(1j * xi_r * (start + u.grid.L))  # x_0 = -L
     return _chirp_z(g, count, xi_r[1] * step).real
 
 
@@ -471,17 +473,29 @@ def solve_refined(model: ModelSpec, c: float, n: int, L: float) -> SolitaryWave:
     (at most 2000 sweeps) from its predecessor's upsampled profile; the final
     solve runs to 1e-10 (at most 500 sweeps).  The coarse stages do not resolve
     the core, so the seeds of the alpha = 0.75 (n 2^19) and 0.7 (n 2^20)
-    chains at L = 25600 start at sup residual 0.12-1.36."""
-    wave = None
+    chains at L = 25600 start at sup residual 0.12-1.36.  Each seed is
+    passed inline and its stage's wave is gone by then, so a stage's solve
+    holds neither its seed, once it has taken the seed's even half, nor the
+    wave before it."""
+    stages = []
     size = max(4096, n // 64)
     while size < n:
-        seed = None if wave is None else upsample_field(wave.profile, size)
-        wave = petviashvili(model, c, make_grid(size, L), tol=1e-9, max_iter=2000,
-                            seed_profile=seed)
+        stages.append(size)
         size *= 4
-    seed = None if wave is None else upsample_field(wave.profile, n)
     return petviashvili(model, c, make_grid(n, L), tol=1e-10, max_iter=500,
-                        seed_profile=seed)
+                        seed_profile=_stage_seed(model, c, L, stages, n))
+
+
+def _stage_seed(model: ModelSpec, c: float, L: float, stages: list, n: int) -> Optional[RealField]:
+    """The profile of solve_refined's last stage of sizes stages, itself
+    seeded by the stages before it, upsampled to n points; None when there
+    are no stages."""
+    if not stages:
+        return None
+    *coarser, size = stages
+    wave = petviashvili(model, c, make_grid(size, L), tol=1e-9, max_iter=2000,
+                        seed_profile=_stage_seed(model, c, L, coarser, size))
+    return upsample_field(wave.profile, n)
 
 
 def dilate_field(u: RealField, lam: float, amplitude: float = 1.0) -> RealField:
@@ -496,7 +510,8 @@ def dilate_field(u: RealField, lam: float, amplitude: float = 1.0) -> RealField:
     if not lam > 0:
         raise ValueError(f"dilation factor must be positive, got {lam}")
     grid = u.grid
-    y = lam * grid.x
+    x = grid.x
+    y = lam * x
     inside = np.flatnonzero(np.abs(y) <= grid.L)  # contiguous index run
     vals = np.zeros(grid.n)
     if inside.size:
@@ -507,7 +522,7 @@ def dilate_field(u: RealField, lam: float, amplitude: float = 1.0) -> RealField:
         if lam > 1.0:
             edge = grid.L / lam
             flat = (1.0 - DILATE_TAPER) * edge
-            t = (np.abs(grid.x[inside]) - flat) / (edge - flat)
+            t = (np.abs(x[inside]) - flat) / (edge - flat)
             ramp = np.where(t <= 0.0, 1.0,
                             np.where(t >= 1.0, 0.0, 0.5 * (1.0 + np.cos(np.pi * np.clip(t, 0, 1)))))
             vals[inside] *= ramp
@@ -567,7 +582,6 @@ class MinimizerResult:
     q: float
     theta: float          # Lagrange multiplier estimate
     I_q: float            # achieved energy
-    converged: bool
     iterations: int
     grad_norm: float      # L^2 norm of the projected gradient at exit
 
@@ -635,7 +649,7 @@ def minimize_iq(
     else:
         _same_grid(seed_profile.grid, grid)
         u = _even_half(seed_profile.values)
-    mult = grid.xi_r**alpha
+    mult = _xi_power(grid, alpha)
     l2_sq = 2.0 * q  # int u^2 on the constraint set
     parseval = n * grid.dx  # int u v = parseval * _even_dot(u_hat, v_hat)
     depth = MIX_DEPTH + 1
@@ -714,7 +728,6 @@ def minimize_iq(
         q=float(mass(profile)),
         theta=float(theta),
         I_q=float(energy_fkdv(profile, DispersionSymbol.power(alpha)).value),
-        converged=True,
         iterations=n_iter,
         grad_norm=grad_norm,
     )

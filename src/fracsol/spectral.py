@@ -6,7 +6,7 @@ steppers) manipulates fields through Fourier multipliers on this box:
 
 * fields are real, so every transform is a real-to-complex ``rfft`` on the
   one-sided wavenumbers ``xi_r = pi*j/L``, ``j = 0..n/2``, the only
-  wavenumbers the grid keeps,
+  wavenumbers a grid computes,
 * integrals are uniform Riemann sums, spectrally accurate for smooth
   periodic integrands,
 * quadratic forms ``int m(D)u u`` are Parseval sums over the one-sided
@@ -39,9 +39,10 @@ steppers) manipulates fields through Fourier multipliers on this box:
   of a solved wave is taken twice.
 
 Grids and fields are immutable after construction and safe to share between
-concurrently running solves.  A grid is the plain value (n, L, dx): it
-computes ``x`` and ``xi_r`` on first access and keeps them, so a grid that
-nobody reads, such as that of a resampled seed, holds no array.
+concurrently running solves.  A grid is the plain value (n, L, dx) and
+holds no array: ``x`` and ``xi_r`` are computed on each read, so a caller
+reads each at most once and owns what it reads (``_xi_power`` raises the
+wavenumbers to a power in place).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -74,9 +74,9 @@ __all__ = [
 
 def _kept(a: np.ndarray) -> np.ndarray:
     """A read-only copy of a in an anonymous memory mapping of its own, for
-    arrays kept after the call that builds them (a grid's x and xi_r, the
-    twiddle table).  On the malloc heap, amid a solve's short-lived buffers,
-    they held room that later solves needed (ROADMAP item 1)."""
+    the one array kept after the call that builds it, the twiddle table.
+    On the malloc heap, amid a solve's short-lived buffers, it held room
+    that later solves needed (ROADMAP item 1)."""
     kept = np.frombuffer(mmap.mmap(-1, a.nbytes), dtype=a.dtype)
     kept[...] = a
     kept.setflags(write=False)
@@ -91,21 +91,36 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Grid1D:
-    """Uniform periodic sampling of [-L, L); x and xi_r are computed on first read and kept."""
+    """Uniform periodic sampling of [-L, L); holds no array: x and xi_r
+    are computed on each read, a fresh array that the caller owns."""
 
     n: int
     L: float
     dx: float
 
-    @cached_property
+    @property
     def x(self) -> np.ndarray:
-        """The sample points -L + dx*j, j < n (read-only)."""
-        return _kept(-self.L + self.dx * np.arange(self.n))
+        """The sample points -L + dx*j, j < n, built in place: one array."""
+        x = np.arange(self.n, dtype=np.float64)
+        x *= self.dx
+        x += -self.L
+        return x
 
-    @cached_property
+    @property
     def xi_r(self) -> np.ndarray:
-        """The wavenumbers 2 pi rfftfreq(n, dx) (read-only)."""
-        return _kept(2.0 * np.pi * np.fft.rfftfreq(self.n, self.dx))
+        """The wavenumbers 2 pi rfftfreq(n, dx), bitwise, built in place:
+        one array, where rfftfreq holds an integer one beside it."""
+        xi = np.arange(self.n // 2 + 1, dtype=np.float64)
+        xi *= 1.0 / (self.n * self.dx)
+        xi *= 2.0 * np.pi
+        return xi
+
+
+def _xi_power(grid: Grid1D, s: float) -> np.ndarray:
+    """|xi|**s on the one-sided lattice xi_r, raised in place: one array."""
+    w = grid.xi_r
+    w **= s
+    return w
 
 
 def make_grid(n: int, L: float) -> Grid1D:
@@ -252,7 +267,7 @@ def d_alpha(u: RealField, s: float) -> RealField:
         raise ValueError(f"d_alpha needs s >= 0, got {s}")
     if s == 0:
         return u
-    return _apply_multiplier_array(u, u.grid.xi_r ** s)
+    return _apply_multiplier_array(u, _xi_power(u.grid, s))
 
 
 def resolvent(u: RealField, c: float, p: DispersionSymbol) -> RealField:
@@ -310,20 +325,21 @@ def spectral_tail(u: RealField) -> float:
     return float(amp[-TAIL_MODES:].max()) / peak if peak > 0 else 0.0
 
 
-def _shift_phase(grid: Grid1D, y: float) -> np.ndarray:
-    """One-sided multiplier of the translation u -> u(. + y).
+def _shift_phase(xi_r: np.ndarray, y: float) -> np.ndarray:
+    """One-sided multiplier of the translation u -> u(. + y) on the
+    wavenumbers xi_r of a grid.
 
     The Nyquist mode has no well-defined translation direction and is moved
     with the real-even convention cos(xi_nyq * y).
     """
-    phase = np.exp(1j * grid.xi_r * y)
-    phase[-1] = np.cos(grid.xi_r[-1] * y)
+    phase = np.exp(1j * xi_r * y)
+    phase[-1] = np.cos(xi_r[-1] * y)
     return phase
 
 
 def shift_field(u: RealField, y: float) -> RealField:
     """Translate to u(. + y) by Fourier phases; exact for band-limited fields."""
-    return _apply_multiplier_array(u, _shift_phase(u.grid, y))
+    return _apply_multiplier_array(u, _shift_phase(u.grid.xi_r, y))
 
 
 def _chirp_z(g: np.ndarray, count: int, theta: float) -> np.ndarray:

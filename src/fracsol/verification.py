@@ -25,6 +25,7 @@ from .spectral import (
     RealField,
     _apply_multiplier_array,
     _field_form,
+    _xi_power,
     field_from_values,
     make_grid,
     spectral_tail,
@@ -92,7 +93,7 @@ def identity_suite(Q: SolitaryWave, tolerance: float = 1e-6) -> list[IdentityRep
             f"profile residual {Q.residual_sup:.3e} too large for identity checks (need < 1e-6)"
         )
     u, c, grid, alpha, p = Q.profile, Q.c, Q.profile.grid, Q.alpha, Q.model.p
-    g = _field_form(u, grid.xi_r**alpha)
+    g = _field_form(u, _xi_power(grid, alpha))
     m = 2.0 * mass(u)
     k = float(grid.dx * np.sum(u.values ** (p + 2)))
     s = (p + 2) * alpha - p
@@ -126,11 +127,13 @@ def pohojaev_functional_check(phi: RealField, alpha: float,
             "the x-weighted identity is not periodic-safe"
         )
     # the Nyquist mode of an odd multiplier is dropped
-    dmult = 1j * grid.xi_r
+    xi = grid.xi_r
+    dmult = 1j * xi
     dmult[-1] = 0.0
     dphi = _apply_multiplier_array(phi, dmult).values
     # the round trip even at alpha = 0, where d_alpha would return phi itself
-    mult = grid.xi_r**alpha
+    mult = xi
+    mult **= alpha  # in place: xi is not read again
     dalpha_phi = _apply_multiplier_array(phi, mult).values
     weighted = float(grid.dx * np.sum(dalpha_phi * grid.x * dphi))
     g = _field_form(phi, mult)
@@ -183,11 +186,12 @@ def commutator_decay(alpha: float, v: RealField, r_list: Sequence[float],
         raise ValueError(
             f"cutoff support [-2r, 2r] with r = {rs[-1]} exceeds half the box (L = {grid.L})"
         )
-    mult = grid.xi_r**alpha
+    mult = _xi_power(grid, alpha)
     dv = _apply_multiplier_array(v, mult).values
+    x = grid.x
     norms = []
     for r in rs:
-        cut = smooth_bump(grid.x / r)
+        cut = smooth_bump(x / r)
         if complement:
             cut = np.sqrt(np.clip(1.0 - cut**2, 0.0, 1.0))
         comm = _apply_multiplier_array(RealField(grid, cut * v.values), mult).values - cut * dv
@@ -340,14 +344,15 @@ def make_scan_battery(grid: Grid1D, seed: int, count: int = 20) -> list[RealFiel
     rng = np.random.default_rng(seed)
     fields = []
     widths = np.linspace(0.5, 8.0, max(1, count // 2))
+    x = grid.x
     for w in widths:
-        fields.append(field_from_values(grid, np.exp(-((grid.x / w) ** 2))))
+        fields.append(field_from_values(grid, np.exp(-((x / w) ** 2))))
     n_random = count - len(fields)
     n_modes = max(2, int(0.1 * grid.n / 2))
     for _ in range(n_random):
         vals = _random_low_modes(rng, grid, n_modes)
         vals /= max(np.max(np.abs(vals)), 1e-30)
         # localize so the field represents a line function
-        vals *= np.exp(-((grid.x / (grid.L / 4.0)) ** 2))
+        vals *= np.exp(-((x / (grid.L / 4.0)) ** 2))
         fields.append(field_from_values(grid, vals))
     return fields

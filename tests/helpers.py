@@ -1,11 +1,14 @@
-"""Shared test utilities: the two-sided wavenumber lattice and the direct
-trigonometric-interpolant evaluator for oracles, and recorders of the
-library's 1D transforms and of the solvers' even transforms."""
+"""Shared test utilities: the two-sided wavenumber lattice, the direct
+trigonometric-interpolant evaluator and the expression-form ETDRK4 loop for
+oracles, and recorders of the library's 1D transforms and of the solvers'
+even transforms."""
 
 import numpy as np
 
 from fracsol import ground_state
-from fracsol.ground_state import _interp_weights
+from fracsol.evolution import _etdrk4_coefficients
+from fracsol.ground_state import FBBM, _interp_weights
+from fracsol.spectral import _spectrum
 
 INTERP_CHUNK = 512  # evaluation points per block of sample_interpolant
 
@@ -60,3 +63,39 @@ def sample_interpolant(u, points):
         phases = np.exp(1j * np.outer(flat[sl] - x0, xi_r))
         res[sl] = (phases @ weights).real
     return out
+
+
+def etdrk4_expression_form(model, u0, dt, n_steps):
+    """The samples after n_steps ETDRK4 steps of evolution.evolve, with
+    every product and sum a fresh array: the reference that the buffered
+    loop of evolve must match bitwise."""
+    grid = u0.grid
+    xi_r = grid.xi_r
+    mask = np.ones(xi_r.size)
+    mask[xi_r > (2.0 / 3.0) * xi_r[-1]] = 0.0
+    ik = 1j * xi_r
+    ik[-1] = 0.0
+    p, symbol = model.p, model.symbol
+    if model.family == FBBM:
+        lin = -ik / (1.0 + symbol(xi_r))
+        nl_mult = lin * mask / 2.0
+    else:
+        lin = ik * symbol(xi_r)
+        nl_mult = -ik * mask / (p + 1)
+    E, E2, Q, f1, f2x2, f3 = _etdrk4_coefficients(lin, dt)
+
+    def nonlinear(vhat):
+        return nl_mult * np.fft.rfft(np.fft.irfft(vhat, n=grid.n) ** (p + 1))
+
+    uhat = _spectrum(u0)
+    for _ in range(n_steps):
+        n0 = nonlinear(uhat)
+        e2u = E2 * uhat
+        a = e2u + Q * n0
+        na = nonlinear(a)
+        b = e2u + Q * na
+        nb = nonlinear(b)
+        c = E2 * a + Q * (2.0 * nb - n0)
+        nc = nonlinear(c)
+        uhat = E * uhat + f1 * n0 + f2x2 * (na + nb) + f3 * nc
+    return np.fft.irfft(uhat, n=grid.n)

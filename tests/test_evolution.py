@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import spy_transforms, two_sided_xi
+from helpers import etdrk4_expression_form, spy_transforms, two_sided_xi
 
 from fracsol import (
     DispersionSymbol,
@@ -152,6 +152,20 @@ class TestEvolve:
                    record_every=10**9)
             counts.append(len(calls))
         assert counts[1] - counts[0] == 8 * 4
+
+    @pytest.mark.parametrize("model", [
+        ModelSpec(family=FKDV, symbol=POWER(0.75)),
+        ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived"),
+    ], ids=["fkdv", "derived_fbbm"])
+    def test_buffered_steps_match_the_expression_form(self, model):
+        # the steps run in preallocated buffers with each product's operand
+        # order kept, so they round exactly like the expression form
+        grid = make_grid(256, 30.0)
+        u0 = field_from_values(grid, 1.5 * np.exp(-(grid.x / 3.0) ** 2))
+        dt = 2.0**-6
+        trace = evolve(model, u0, 40 * dt, dt, record_every=7)
+        reference = etdrk4_expression_form(model, u0, dt, 40)
+        assert trace.final_state.values.tobytes() == reference.tobytes()
 
     def test_blocked_coefficients_match_one_shot_contour(self, grid8):
         # 4097 modes: the last block is not a whole CONTOUR_BLOCK

@@ -430,12 +430,13 @@ class TestSolveRefined:
 
     def test_final_stage_memory(self):
         # the final stage holds the ring of 2 (MIX_DEPTH + 1) rows of n/2 + 1
-        # values, the samples, Q_hat and lin (3 rows), the even transform's
-        # work space (about n values: from n = 2^17 on, the helper thread's
-        # odd half works beside the caller's even half), the seed (n values)
-        # and the grid's xi_r (1 row); the previous stage's wave, its
-        # spectrum and its grid add 1 row.  The twiddles are cached first.
-        # Measured 17.8 rows (16.8 with the transform on one thread)
+        # values, the samples, Q_hat and lin (3 rows) and the even
+        # transform's work space (about n values: from n = 2^17 on, the
+        # helper thread's odd half works beside the caller's even half).  The
+        # seed, passed inline, is dropped once its even half is taken, and
+        # neither the previous stage's wave nor a grid's xi_r is held; the
+        # bound keeps 2 rows for them all the same.  The twiddles are cached
+        # first.  Measured 15.05 rows (17.8 with the seed, xi_r and that wave)
         n = 1 << 18
         _even_rfft(np.zeros(n // 2 + 1), np.empty(n // 2 + 1))
         model = ModelSpec(family=FKDV, symbol=POWER(0.75))
@@ -447,7 +448,7 @@ class TestSolveRefined:
         finally:
             tracemalloc.stop()
         rows = 2 * (MIX_DEPTH + 1) + 3 + 1 + 1
-        bound = 8 * (rows * (n // 2 + 1) + _even_work_size(n // 2) + n) + 64 * 1024
+        bound = 8 * (rows * (n // 2 + 1) + _even_work_size(n // 2)) + 64 * 1024
         assert wave.residual_sup < 1e-9
         assert peak <= bound
 
@@ -481,17 +482,18 @@ class TestInterpolant:
         exact = np.exp(-fine.grid.x**2) * np.cos(fine.grid.x)
         np.testing.assert_allclose(fine.values, exact, rtol=0, atol=1e-12)
 
-    def test_upsampled_seed_grid_holds_nothing(self):
-        # the seed's grid is a second (n, L) value; the solve it seeds reads
-        # x and xi_r of its own grid only, so the seed's grid computes neither
+    def test_grids_hold_no_array_after_a_solve_and_its_checks(self):
+        # a seeded solve, the identity suite and the Weinstein ratio read x
+        # and xi_r of the wave's grid and of the seed's; neither keeps them
         model = ModelSpec(family=FKDV, symbol=POWER(1.0))
         coarse = petviashvili(model, 1.0, make_grid(1024, 100.0))
         seed = upsample_field(coarse.profile, 4096)
         grid = make_grid(4096, 100.0)
-        petviashvili(model, 1.0, grid, seed_profile=seed)
+        wave = petviashvili(model, 1.0, grid, seed_profile=seed)
+        identity_suite(wave)
+        weinstein(wave.profile, 1.0)
         assert seed.grid is not grid
-        assert "xi_r" in vars(grid)
-        assert not {"x", "xi_r"} & vars(seed.grid).keys()
+        assert vars(grid).keys() == vars(seed.grid).keys() == {"n", "L", "dx"}
 
 
 class TestRescale:
@@ -640,7 +642,7 @@ class TestMinimizeIq:
         # and did not converge at q = 2 within 20,000, the unmixed flow
         # 147-196, the mixed one 20-39
         res = minimize_iq(q, 0.75, grid_desk)
-        assert res.converged and res.I_q < 0.0
+        assert res.grad_norm < 1e-8 and res.I_q < 0.0
         assert res.iterations <= 60
 
     def test_depth_four_desk_iterations(self, grid_desk):

@@ -81,26 +81,23 @@ class TestMakeGrid:
             make_grid(8, L)
 
     def test_coordinates_on_demand(self):
-        # a grid is the plain value (n, L, dx): x and xi_r are computed on
-        # first access and then kept, in memory mappings of their own, off the
-        # heap that tracemalloc traces
+        # a grid is the plain value (n, L, dx) and holds no array: x and
+        # xi_r are built on each read, bitwise by their formulas, and every
+        # read is a fresh array that its reader owns
         n, L = 1 << 20, 25600.0
         tracemalloc.start()
         try:
             grid = make_grid(n, L)
             peak = tracemalloc.get_traced_memory()[1]
-            x, xi_r = grid.x, grid.xi_r
-            held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 1024
-        assert held <= 1 << 20  # x and xi_r take 12 MiB; first-call imports about 0.1
+        x, xi_r = grid.x, grid.xi_r
         assert x.tobytes() == (-L + grid.dx * np.arange(n)).tobytes()
-        assert not x.flags.writeable
-        assert grid.x is x
         assert xi_r.tobytes() == (2.0 * np.pi * np.fft.rfftfreq(n, grid.dx)).tobytes()
-        assert not xi_r.flags.writeable
-        assert grid.xi_r is xi_r
+        assert grid.x is not x and grid.xi_r is not xi_r
+        assert x.flags.writeable and xi_r.flags.writeable
+        assert vars(grid).keys() == {"n", "L", "dx"}
 
     def test_same_n_and_L_is_the_same_grid(self):
         a = field_from_values(make_grid(64, 5.0), np.ones(64))
