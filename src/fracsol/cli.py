@@ -56,6 +56,9 @@ from .verification import (
 # Desk-scale identity tolerance: profile identities are periodization-limited
 # at the default box, around (pi/L)^(1+alpha); 1e-6 needs a much larger box.
 DESK_IDENTITY_TOL = 1e-3
+# a verdict tolerance below 0 fails every check, and a solver's must be > 0
+TOLERANCES = ("tol", "identity_tol", "spread_tol", "gn_slack", "gate_tol", "slope_tol",
+              "residual_tol")
 
 
 def _parse_config_file(path):
@@ -81,7 +84,8 @@ def _convert(default):
 
 
 def _resolve(args, defaults):
-    """flags > config file > defaults; returns the full resolved dict."""
+    """flags > config file > defaults; returns the full resolved dict, with
+    every float value finite and every tolerance >= 0."""
     file_cfg = _parse_config_file(args.config) if args.config else {}
     unknown = sorted(set(file_cfg) - CONFIG_KEYS)
     if unknown:
@@ -95,6 +99,11 @@ def _resolve(args, defaults):
             resolved[key] = _convert(default)(file_cfg[key])
         else:
             resolved[key] = default
+        value, flag = resolved[key], f"--{key.replace('_', '-')}"
+        if isinstance(default, float) and not np.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+        if key in TOLERANCES and value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     return resolved
 
 
@@ -115,17 +124,21 @@ def _model(cfg) -> ModelSpec:
 
 
 def _or_default(cfg, key, default):
-    """The value of a key whose 0 selects the command's default; a negative or
-    non-finite value is a usage error, never a silent fallback."""
+    """The value of a key whose 0 selects the command's default; a negative
+    value is a usage error, never a silent fallback."""
     value = cfg[key]
-    if not (value >= 0 and np.isfinite(value)):
+    if value < 0:
         raise ValueError(f"--{key.replace('_', '-')} must be finite and >= 0 "
                          f"(0 selects the default), got {value}")
     return value or default
 
 
-def _floats(cs: str) -> list:
-    return [float(tok) for tok in cs.split(",") if tok.strip()]
+def _floats(cfg, key) -> list:
+    """A list key's comma-separated values: at least one, all finite."""
+    values = [float(tok) for tok in cfg[key].split(",") if tok.strip()]
+    if not (values and np.all(np.isfinite(values))):
+        raise ValueError(f"--{key} must list one or more finite values, got {cfg[key]!r}")
+    return values
 
 
 # the console of the running command: a sweep point's buffer in its worker
@@ -286,7 +299,7 @@ def cmd_minimize_iq(cfg, args) -> int:
 
 def cmd_iq_scaling(cfg, args) -> int:
     grid = make_grid(cfg["n"], cfg["L"])
-    result = iq_scaling_check(cfg["alpha"], cfg["q"], _floats(cfg["thetas"]),
+    result = iq_scaling_check(cfg["alpha"], cfg["q"], _floats(cfg, "thetas"),
                               grid, tolerance=cfg["tol"])
     _write_report({"n": result.n, "tail": result.tail,
                    "checks": [r.to_dict() for r in result.checks]}, cfg, cfg["report"])
@@ -303,7 +316,7 @@ def cmd_commutator(cfg, args) -> int:
         v = field_from_values(grid, (1.0 + grid.x**2) ** -0.125)
     else:
         raise ValueError(f"unknown field kind {cfg['field']!r}")
-    decay = commutator_decay(cfg["alpha"], v, _floats(cfg["radii"]),
+    decay = commutator_decay(cfg["alpha"], v, _floats(cfg, "radii"),
                              complement=cfg["complement"])
     target = 0.25 - cfg["alpha"]
     # only the worst-case (algebraic-tail) field realizes the estimate's rate
@@ -321,8 +334,8 @@ def cmd_commutator(cfg, args) -> int:
 def cmd_kp_check(cfg, args) -> int:
     chain = []
     worst = 0.0
-    for alpha in _floats(cfg["alphas"]):
-        for c in _floats(cfg["cs"]):
+    for alpha in _floats(cfg, "alphas"):
+        for c in _floats(cfg, "cs"):
             for eps in (-1, 1):
                 rep = kp_identity_consistency(alpha, c, eps)
                 worst = max(worst, rep.residual_po1, rep.residual_po2, rep.residual_energ)

@@ -1,15 +1,17 @@
 """Persistence: profile CSV files with JSON sidecars, evolution trace CSVs,
 2D field CSVs, and report JSON.
 
-Floats are written with 17 significant digits, which round-trips float64
-exactly, so save -> load reproduces values bit for bit.  Report JSON uses
-sorted keys and Python's shortest-round-trip float repr, making repeated
-runs with the same inputs byte-identical.
+One CSV writer (17 significant digits: save -> load is bit for bit), one
+CSV reader and one sidecar reader serve every artifact; the loaders check the
+CSV's coordinates against the sidecar's grid and raise ValueError naming the
+file.  Report JSON uses sorted keys and shortest-round-trip floats, so the
+same inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Optional
 
@@ -32,7 +34,8 @@ __all__ = [
 ]
 
 SPACING_RTOL = 1e-9
-SIDECAR_NUMBERS = ("n", "L", "c", "alpha", "beta", "p", "iterations")
+SIDECAR_NUMBERS = ("n", "L", "c", "alpha", "beta", "p", "iterations", "nx", "ny", "Lx", "Ly")
+SIDECAR_COUNTS = ("n", "p", "iterations", "nx", "ny")
 
 
 def _sidecar_path(path: str) -> str:
@@ -46,62 +49,37 @@ def dump_json(obj, path: str) -> None:
         fh.write("\n")
 
 
-def save_profile(field: RealField, path: str, meta: Optional[dict] = None) -> None:
-    """Write the x,value CSV; optionally a JSON sidecar next to it."""
+def _write_csv(path: str, columns: dict) -> None:
+    """The column names, then one %.17g row per index up to the shortest column."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write("x,value\n")
-        for x, v in zip(field.grid.x, field.values):
-            fh.write(f"{x:.17g},{v:.17g}\n")
-    if meta is not None:
-        meta = dict(meta)
-        meta.setdefault("n", field.grid.n)
-        meta.setdefault("L", field.grid.L)
-        dump_json(meta, _sidecar_path(path))
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(row % fields for fields in zip(*(c.tolist() for c in columns.values())))
 
 
-def load_profile(path: str) -> tuple[RealField, dict]:
-    """Read an x,value CSV back into a field, verifying the format.
-
-    Raises on a malformed header, non-numeric or NaN entries, and non-uniform
-    spacing (a missing row shows up as a spacing violation at its line).
-    """
-    xs, vs = [], []
+def _read_csv(path: str, header: str) -> np.ndarray:
+    """The rows under the expected header, one column per name; blank lines
+    are skipped, a '#' row is non-numeric, NaN and infinity are rejected."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "x,value":
-            raise ValueError(f"{path}: expected header 'x,value', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'x,value', got {line!r}")
-            try:
-                x, v = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric entry {line!r}") from None
-            xs.append(x)
-            vs.append(v)
-    x = np.asarray(xs)
-    v = np.asarray(vs)
-    if x.size < 8:
-        raise ValueError(f"{path}: too few rows ({x.size})")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        got = fh.readline().strip()
+        if got != header:
+            raise ValueError(f"{path}: expected header {header!r}, got {got!r}")
+    try:  # given the path, numpy parses in chunks; given a file, line by line
+        data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    width = header.count(",") + 1
+    if len(data) and data.shape[1] != width:
+        raise ValueError(f"{path}: expected {width} columns, got {data.shape[1]}")
+    if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: NaN or infinite entries")
-    dx = x[1] - x[0]
-    gaps = np.diff(x)
-    bad = np.abs(gaps - dx) > SPACING_RTOL * abs(dx)
-    if np.any(bad):
-        lineno = int(np.argmax(bad)) + 3  # header + 1-based + gap offset
-        raise ValueError(f"{path}:{lineno}: non-uniform spacing (missing row?)")
-    n = x.size
-    L = -x[0]
-    if abs(n * dx - 2.0 * L) > SPACING_RTOL * 2.0 * L:
-        raise ValueError(f"{path}: x range is not the periodic box [-L, L)")
-    grid = make_grid(n, L)
-    field = field_from_values(grid, v)
+    return data
 
+
+def _read_sidecar(path: str, required=()) -> dict:
+    """The JSON sidecar of the CSV at path ({} when there is none): an object
+    with the required keys whose SIDECAR_NUMBERS are finite numbers (not
+    bools: JSON gives exact types), whole for SIDECAR_COUNTS."""
     meta: dict = {}
     sidecar = _sidecar_path(path)
     if os.path.exists(sidecar):
@@ -109,15 +87,47 @@ def load_profile(path: str) -> tuple[RealField, dict]:
             meta = json.load(fh)
         if not isinstance(meta, dict):
             raise ValueError(f"{sidecar}: sidecar is not a JSON object")
-        bad = [f"{k}={meta[k]!r}" for k in SIDECAR_NUMBERS
-               if k in meta and not isinstance(meta[k], (int, float))]
-        if bad:
-            raise ValueError(f"{path}: non-numeric sidecar {', '.join(bad)}")
-        if "n" in meta and int(meta["n"]) != n:
-            raise ValueError(f"{path}: grid mismatch: sidecar n={meta['n']}, CSV rows={n}")
-        if "L" in meta and abs(float(meta["L"]) - L) > SPACING_RTOL * max(L, 1.0):
-            raise ValueError(f"{path}: grid mismatch: sidecar L={meta['L']}, CSV L={L}")
-    return field, meta
+    bad = [f"{k}={v!r}" for k, v in meta.items() if k in SIDECAR_NUMBERS
+           and not (type(v) is int or (type(v) is float and math.isfinite(v)
+                                       and (k not in SIDECAR_COUNTS or v.is_integer())))]
+    if bad:
+        raise ValueError(f"{path}: non-numeric sidecar {', '.join(bad)} (finite numbers "
+                         f"expected, whole for {', '.join(SIDECAR_COUNTS)})")
+    missing = [k for k in required if k not in meta]
+    if missing:
+        raise ValueError(f"{path}: sidecar lacks {', '.join(missing)}")
+    return meta
+
+
+def save_profile(field: RealField, path: str, meta: Optional[dict] = None) -> None:
+    """Write the x,value CSV; optionally a JSON sidecar (with the grid) next to it."""
+    _write_csv(path, {"x": field.grid.x, "value": field.values})
+    if meta is not None:
+        dump_json({"n": field.grid.n, "L": field.grid.L, **meta}, _sidecar_path(path))
+
+
+def load_profile(path: str, required=()) -> tuple[RealField, dict]:
+    """Read an x,value CSV and its sidecar (with the required keys) into a
+    field and a dict on one uniform grid; a missing row is a spacing error at
+    its line."""
+    data = _read_csv(path, "x,value")
+    if len(data) < 8:
+        raise ValueError(f"{path}: too few rows ({len(data)})")
+    x, v = data.T
+    dx = x[1] - x[0]
+    bad = np.abs(np.diff(x) - dx) > SPACING_RTOL * abs(dx)
+    if np.any(bad):
+        lineno = int(np.argmax(bad)) + 3  # header + 1-based + gap offset
+        raise ValueError(f"{path}:{lineno}: non-uniform spacing (missing row?)")
+    n = x.size
+    L = -x[0]
+    if abs(n * dx - 2.0 * L) > SPACING_RTOL * 2.0 * L:
+        raise ValueError(f"{path}: x range is not the periodic box [-L, L)")
+    meta = _read_sidecar(path, required)
+    if meta.get("n", n) != n or abs(meta.get("L", L) - L) > SPACING_RTOL * max(L, 1.0):
+        raise ValueError(f"{path}: grid mismatch: sidecar n={meta.get('n')}, "
+                         f"L={meta.get('L')}; CSV rows={n}, L={L}")
+    return field_from_values(make_grid(n, L), v), meta
 
 
 def save_wave(wave: SolitaryWave, path: str) -> None:
@@ -142,11 +152,7 @@ def save_wave(wave: SolitaryWave, path: str) -> None:
 def load_wave(path: str) -> SolitaryWave:
     """Rebuild a SolitaryWave from a profile CSV + sidecar, recomputing the
     residual diagnostics from the loaded samples."""
-    field, meta = load_profile(path)
-    required = ("c", "alpha", "family")
-    missing = [k for k in required if k not in meta]
-    if missing:
-        raise ValueError(f"{path}: sidecar lacks {', '.join(missing)}")
+    field, meta = load_profile(path, required=("c", "alpha", "family"))
     symbol = DispersionSymbol(kind=meta.get("symbol", "power"), alpha=float(meta["alpha"]),
                               beta=float(meta.get("beta", 0.0)))
     model = ModelSpec(
@@ -162,40 +168,29 @@ def load_wave(path: str) -> SolitaryWave:
 def save_trace(trace: EvolutionTrace, path: str) -> None:
     """Plot-ready CSV: t, the conserved pair (mass,energy for the fKdV family,
     quadratic,hamiltonian for fBBM)[, orbital_distance]."""
-    header = ",".join(["t", *trace.conserved])
-    cols = [trace.times, *trace.conserved.values()]
+    columns = {"t": trace.times, **trace.conserved}
     if trace.orbital_distance_series is not None:
-        header += ",orbital_distance"
-        cols.append(trace.orbital_distance_series)
-    n_rows = min(len(c) for c in cols)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(n_rows):
-            fh.write(",".join(f"{c[i]:.17g}" for c in cols) + "\n")
+        columns["orbital_distance"] = trace.orbital_distance_series
+    _write_csv(path, columns)
 
 
 def save_field2d(field: RealField2D, path: str) -> None:
     """Row-major x,y,value CSV plus a JSON grid sidecar."""
-    grid = field.grid
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for i in range(grid.nx):
-            xi = grid.x[i]
-            for j in range(grid.ny):
-                fh.write(f"{xi:.17g},{grid.y[j]:.17g},{field.values[i, j]:.17g}\n")
-    dump_json({"nx": grid.nx, "ny": grid.ny, "Lx": grid.Lx, "Ly": grid.Ly},
-              _sidecar_path(path))
+    g = field.grid
+    _write_csv(path, {"x": np.repeat(g.x, g.ny), "y": np.tile(g.y, g.nx),
+                      "value": field.values.ravel()})
+    dump_json({"nx": g.nx, "ny": g.ny, "Lx": g.Lx, "Ly": g.Ly}, _sidecar_path(path))
 
 
 def load_field2d(path: str) -> RealField2D:
-    sidecar = _sidecar_path(path)
-    if not os.path.exists(sidecar):
-        raise ValueError(f"{path}: missing grid sidecar {sidecar}")
-    with open(sidecar) as fh:
-        meta = json.load(fh)
-    grid = make_grid2d(int(meta["nx"]), int(meta["ny"]), float(meta["Lx"]), float(meta["Ly"]))
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.shape[0] != grid.nx * grid.ny:
-        raise ValueError(f"{path}: expected {grid.nx * grid.ny} rows, got {data.shape[0]}")
-    vals = data[:, 2].reshape(grid.nx, grid.ny)
-    return field2d_from_values(grid, vals)
+    """Read a row-major x,y,value CSV on the grid its sidecar declares."""
+    meta = _read_sidecar(path, required=("nx", "ny", "Lx", "Ly"))
+    g = make_grid2d(int(meta["nx"]), int(meta["ny"]), meta["Lx"], meta["Ly"])
+    data = _read_csv(path, "x,y,value")
+    if len(data) != g.nx * g.ny:
+        raise ValueError(f"{path}: expected {g.nx * g.ny} rows, got {len(data)}")
+    x, y, v = np.moveaxis(data.reshape(g.nx, g.ny, 3), 2, 0)
+    if (np.any(np.abs(x - g.x[:, None]) > SPACING_RTOL * g.dx)
+            or np.any(np.abs(y - g.y) > SPACING_RTOL * g.dy)):
+        raise ValueError(f"{path}: grid mismatch: x,y columns off the sidecar's grid")
+    return field2d_from_values(g, v)

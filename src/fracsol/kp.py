@@ -199,8 +199,10 @@ def kp_identity_consistency(alpha: float, c: float, eps: int) -> KPConsistencyRe
     the transverse/dispersive balance forces d = e = 0 and only the trivial
     solution remains.
     """
-    if not c > 0:
-        raise ValueError(f"velocity must be positive, got {c}")
+    if not (c > 0 and np.isfinite(c)):
+        raise ValueError(f"velocity must be positive and finite, got {c}")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
     if eps == 1:

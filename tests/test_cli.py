@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracsol import field_from_values, make_grid
-from fracsol.cli import COMMANDS, _resolve, build_parser, main
+from fracsol.cli import COMMANDS, TOLERANCES, _resolve, build_parser, main
 from fracsol.io import save_profile
 
 
@@ -91,6 +91,16 @@ class TestConfigFile:
         assert payload["config"]["c"] == 1.0       # flag wins
         assert payload["config"]["n"] == 4096
 
+    def test_non_finite_config_value_rejected(self, tmp_path):
+        # a float key from the file obeys the flag's rule: finite
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("alpha = nan\nn = 256\nL = 20\n")
+        report = str(tmp_path / "err.json")
+        assert main(["ground-state", "--config", str(cfg), "--report", report]) == 2
+        payload = json.load(open(report))
+        assert payload["error"] == "ValueError"
+        assert "--alpha must be finite" in payload["message"]
+
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("alpha 0.8\n")
@@ -155,6 +165,44 @@ def test_flag_and_config_parity(cmd, key, tmp_path):
         value = _resolve(args, defaults)[key]
         assert value == default
         assert type(value) is type(default)
+
+
+# hand-picked step cases, id -> argv
+_BAD_STEP_FLAGS = {
+    "evolve_dt_negative": ["evolve", "--dt", "-1"],
+    "evolve_dt_nan": ["evolve", "--dt", "nan"],
+    "evolve_record_every_negative": ["evolve", "--record-every", "-1"],
+    "stability_dt_negative": ["stability", "--dt", "-1", "--n", "4096", "--L", "200"],
+    "stability_K_nan": ["stability", "--K", "nan", "--n", "4096", "--L", "200"],
+    "stability_K_negative": ["stability", "--K", "-1", "--n", "4096", "--L", "200"],
+    "stability_K_zero": ["stability", "--K", "0", "--n", "4096", "--L", "200"],
+    "stability_K_inf": ["stability", "--K", "inf", "--n", "4096", "--L", "200"],
+    "ground_state_tol_negative": ["ground-state", "--tol", "-1"],
+    "ground_state_tol_nan": ["ground-state", "--tol", "nan"],
+    "minimize_iq_tol_nan": ["minimize-iq", "--tol", "nan", "--max-iter", "3000"],
+    "minimize_iq_max_iter_zero": ["minimize-iq", "--max-iter", "0"],
+}
+_LIST_FLAGS = ("thetas", "radii", "alphas", "cs")
+
+
+def _bad_flag_cases():
+    """The hand-picked step cases, then every float flag of every command with
+    nan and inf, every tolerance with -1, and every value list empty, nan or
+    inf; each is a usage error."""
+    cases = dict(_BAD_STEP_FLAGS)
+    for cmd, (_, _, defaults) in COMMANDS.items():
+        for key, default in defaults.items():
+            values = {}
+            if isinstance(default, float):
+                values.update(nan="nan", inf="inf")
+            if key in TOLERANCES:
+                values["negative"] = "-1"
+            if key in _LIST_FLAGS:
+                values.update(empty=",", nan="nan", inf="inf")
+            for label, value in values.items():
+                case_id = f"{cmd}_{key}_{label}".replace("-", "_")
+                cases.setdefault(case_id, [cmd, f"--{key.replace('_', '-')}", value])
+    return [pytest.param(argv, id=case_id) for case_id, argv in cases.items()]
 
 
 class TestOtherCommands:
@@ -272,34 +320,20 @@ class TestOtherCommands:
         assert payload["error"] == "ValueError"
         assert "delta" in payload["message"]
 
-    @pytest.mark.parametrize("argv", [
-        ["evolve", "--dt", "-1"],
-        ["evolve", "--dt", "nan"],
-        ["evolve", "--record-every", "-1"],
-        ["stability", "--dt", "-1", "--n", "4096", "--L", "200"],
-        ["stability", "--K", "nan", "--n", "4096", "--L", "200"],
-        ["stability", "--K", "-1", "--n", "4096", "--L", "200"],
-        ["stability", "--K", "0", "--n", "4096", "--L", "200"],
-        ["stability", "--K", "inf", "--n", "4096", "--L", "200"],
-        ["ground-state", "--tol", "-1"],
-        ["ground-state", "--tol", "nan"],
-        ["minimize-iq", "--tol", "nan", "--max-iter", "3000"],
-        ["minimize-iq", "--max-iter", "0"],
-    ], ids=["evolve_dt_negative", "evolve_dt_nan", "evolve_record_every_negative",
-            "stability_dt_negative", "stability_K_nan", "stability_K_negative",
-            "stability_K_zero", "stability_K_inf", "ground_state_tol_negative",
-            "ground_state_tol_nan", "minimize_iq_tol_nan", "minimize_iq_max_iter_zero"])
+    @pytest.mark.parametrize("argv", _bad_flag_cases())
     def test_bad_step_flag_exit_2(self, argv, tmp_path):
         # 0 is the only value that selects the default step; K, tol and
-        # max_iter have no default to select and must be positive
+        # max_iter have no default to select and must be positive; a float
+        # is finite, a tolerance >= 0 and a value list holds finite values
         grid = make_grid(256, 20.0)
         path = str(tmp_path / "q.csv")
         save_profile(field_from_values(grid, np.exp(-grid.x**2)), path,
                      {"c": 1.0, "alpha": 0.75, "family": "fkdv"})
         report = str(tmp_path / "r.json")
-        profile = ["--profile", path] if argv[0] == "evolve" else []
+        profile = ["--profile", path] if argv[0] in ("evolve", "verify") else []
         horizon = ["--T", "0.5"] if argv[0] in ("evolve", "stability") else []
-        assert main(argv + profile + horizon + ["--report", report]) == 2
+        # the case's own flags come last, so its --T wins over the horizon
+        assert main(argv[:1] + profile + horizon + argv[1:] + ["--report", report]) == 2
         payload = json.load(open(report))
         assert payload["error"] == "ValueError"
         # the flag as the CLI spells it, or the parameter the library names

@@ -65,6 +65,17 @@ class TestProfileRoundTrip:
         with pytest.raises(ValueError, match="header"):
             load_profile(path)
 
+    @pytest.mark.parametrize("row", ["{x},{v},0", "{x},abc", "# {x},{v}"],
+                             ids=["three_columns", "non_numeric", "comment"])
+    def test_rejects_malformed_row(self, tmp_path, field, row):
+        path = str(tmp_path / "p.csv")
+        save_profile(field, path)
+        lines = open(path).read().splitlines()
+        lines[5] = row.format(x=field.grid.x[4], v=field.values[4])
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"p\.csv: "):
+            load_profile(path)
+
     def test_grid_mismatch(self, tmp_path, field):
         path = str(tmp_path / "p.csv")
         save_profile(field, path, {"c": 1.0})
@@ -100,8 +111,15 @@ class TestWaveRoundTrip:
         with pytest.raises(ValueError, match="bogus"):
             load_wave(path)
 
-    @pytest.mark.parametrize("key", ["c", "alpha", "beta", "p", "iterations"])
-    @pytest.mark.parametrize("value", [None, [1.0], "fast"])
+    @pytest.mark.parametrize("key, value", [
+        *[pytest.param(key, value, id=f"{vid}-{key}")
+          for vid, value in (("None", None), ("value1", [1.0]), ("fast", "fast"), ("True", True))
+          for key in ("c", "alpha", "beta", "p", "iterations")],
+        # counts are whole and numbers finite: int() would read p = 1.7 as 1
+        pytest.param("p", 1.7, id="fraction-p"),
+        pytest.param("n", 4096.5, id="fraction-n"),
+        pytest.param("c", float("nan"), id="nan-c"),
+    ])
     def test_wave_rejects_malformed_numbers(self, tmp_path, field, key, value):
         meta = {"c": 1.0, "alpha": 0.75, "family": "fkdv", key: value}
         path = str(tmp_path / "p.csv")
@@ -148,3 +166,38 @@ class TestField2D:
         open(path, "w").write("x,y,value\n")
         with pytest.raises(ValueError, match="sidecar"):
             load_field2d(path)
+
+    @pytest.mark.parametrize("sidecar, match", [
+        ("[16, 32, 4.0, 8.0]", "not a JSON object"),
+        ('{"nx": 16, "ny": 32, "Lx": 4.0}', "lacks Ly"),
+        ('{"nx": 16, "ny": 32, "Lx": 4.0, "Ly": "8"}', "sidecar Ly="),
+        ('{"nx": 16.5, "ny": 32, "Lx": 4.0, "Ly": 8.0}', "sidecar nx="),
+        ('{"nx": 16, "ny": 32, "Lx": 5.0, "Ly": 8.0}', "grid mismatch"),
+        ('{"nx": 16, "ny": 32, "Lx": 4.0, "Ly": 9.0}', "grid mismatch"),
+    ], ids=["not_object", "missing_key", "string_number", "fraction_count", "x_off_grid",
+            "y_off_grid"])
+    def test_rejects_malformed_sidecar(self, tmp_path, sidecar, match):
+        # the sidecar follows the profile sidecar's rules, and the CSV's x,y
+        # columns must lie on the grid it declares
+        g = make_grid2d(16, 32, 4.0, 8.0)
+        path = str(tmp_path / "f.csv")
+        save_field2d(field2d_from_function(g, lambda x, y: x * y), path)
+        (tmp_path / "f.json").write_text(sidecar + "\n")
+        with pytest.raises(ValueError, match=match):
+            load_field2d(path)
+
+
+def test_save_load_save_is_byte_identical(tmp_path, q075_wave):
+    """Loading an artifact and saving it again rewrites the same bytes: a
+    profile with its wave sidecar, and a 2D field with its grid sidecar."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    save_wave(q075_wave, str(first / "q.csv"))
+    field, meta = load_profile(str(first / "q.csv"))
+    save_profile(field, str(second / "q.csv"), meta)
+    g = make_grid2d(16, 32, 4.0, 8.0)
+    save_field2d(field2d_from_function(g, lambda x, y: np.exp(-x**2 - y**2)), str(first / "f.csv"))
+    save_field2d(load_field2d(str(first / "f.csv")), str(second / "f.csv"))
+    for name in ("q.csv", "q.json", "f.csv", "f.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name

@@ -154,6 +154,10 @@ class TestIdentityChain:
             kp_identity_consistency(1.0, -1.0, -1)
         with pytest.raises(ValueError):
             kp_identity_consistency(1.0, 1.0, 2)
+        # a non-finite alpha or c made NaN residuals that max() then dropped
+        for alpha, c in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.inf)):
+            with pytest.raises(ValueError):
+                kp_identity_consistency(alpha, c, -1)
 
 
 class TestBLT:
