@@ -16,13 +16,10 @@ from .spectral import (
     spectral_tail,
 )
 from .functionals import (
-    FunctionalValue,
-    GNReport,
     bbm_hamiltonian,
     bbm_quadratic,
     energy_fkdv,
     energy_norm,
-    gn_check,
     mass,
     weinstein,
 )
@@ -69,12 +66,9 @@ from .kp import (
     dx_inv_dy,
     field2d_from_function,
     field2d_from_values,
-    integrate2d,
-    kp_energy,
     kp_identity_consistency,
     kp_rescale,
     make_grid2d,
-    project_zero_x_mean,
 )
 from .errors import ConvergenceError, NoSolitaryWaveError, NumericalError
 

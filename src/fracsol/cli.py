@@ -134,8 +134,11 @@ def _or_default(cfg, key, default):
 
 
 def _floats(cfg, key) -> list:
-    """A list key's comma-separated values: at least one, all finite."""
-    values = [float(tok) for tok in cfg[key].split(",") if tok.strip()]
+    """A list key's comma-separated values: at least one, all finite numbers."""
+    try:
+        values = [float(tok) for tok in cfg[key].split(",") if tok.strip()]
+    except ValueError:
+        values = []
     if not (values and np.all(np.isfinite(values))):
         raise ValueError(f"--{key} must list one or more finite values, got {cfg[key]!r}")
     return values

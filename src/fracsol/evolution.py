@@ -133,7 +133,7 @@ def evolve(
     else:
         lin = ik * symbol(xi_r)
         nl_mult = -ik * mask / (p + 1)
-        pair = {"mass": mass, "energy": lambda u: energy_fkdv(u, symbol, p).value}
+        pair = {"mass": mass, "energy": lambda u: energy_fkdv(u, symbol, p)}
 
     # the linear part is exact, so only the nonlinear term bounds dt
     sup0 = float(np.max(np.abs(u0.values)))

@@ -727,7 +727,7 @@ def minimize_iq(
         profile=profile,
         q=float(mass(profile)),
         theta=float(theta),
-        I_q=float(energy_fkdv(profile, DispersionSymbol.power(alpha)).value),
+        I_q=energy_fkdv(profile, DispersionSymbol.power(alpha)),
         iterations=n_iter,
         grad_norm=grad_norm,
     )

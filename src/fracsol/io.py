@@ -1,15 +1,18 @@
 """Persistence: profile CSV files with JSON sidecars, evolution trace CSVs,
-2D field CSVs, and report JSON.
+and report JSON.
 
 One CSV writer (17 significant digits: save -> load is bit for bit), one
-CSV reader and one sidecar reader serve every artifact; the loaders check the
-CSV's coordinates against the sidecar's grid and raise ValueError naming the
-file.  Report JSON uses sorted keys and shortest-round-trip floats, so the
-same inputs give byte-identical files.
+CSV reader and one sidecar reader serve every artifact; the profile loader
+checks the CSV's coordinates against the sidecar's grid.  Every loading
+error is a ValueError that names the file and, where a row is at fault, its
+file line (the header is line 1, blank lines count).  Report JSON uses
+sorted keys and shortest-round-trip floats, so the same inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -19,7 +22,6 @@ import numpy as np
 
 from .evolution import EvolutionTrace
 from .ground_state import FBBM, ModelSpec, SolitaryWave, solitary_from_profile
-from .kp import RealField2D, field2d_from_values, make_grid2d
 from .spectral import DispersionSymbol, RealField, field_from_values, make_grid
 
 __all__ = [
@@ -28,14 +30,12 @@ __all__ = [
     "save_wave",
     "load_wave",
     "save_trace",
-    "save_field2d",
-    "load_field2d",
     "dump_json",
 ]
 
 SPACING_RTOL = 1e-9
-SIDECAR_NUMBERS = ("n", "L", "c", "alpha", "beta", "p", "iterations", "nx", "ny", "Lx", "Ly")
-SIDECAR_COUNTS = ("n", "p", "iterations", "nx", "ny")
+SIDECAR_NUMBERS = ("n", "L", "c", "alpha", "beta", "p", "iterations")
+SIDECAR_COUNTS = ("n", "p", "iterations")
 
 
 def _sidecar_path(path: str) -> str:
@@ -57,23 +57,42 @@ def _write_csv(path: str, columns: dict) -> None:
         fh.writelines(row % fields for fields in zip(*(c.tolist() for c in columns.values())))
 
 
+def _data_lines(path: str):
+    """(file line, text) of each non-blank line under the header: the rows."""
+    with open(path) as fh:
+        yield from ((n, line) for n, line in enumerate(fh, 1) if n > 1 and line.strip())
+
+
+def _is_row(line: str, width: int) -> bool:
+    """Whether a line is width finite numbers as numpy reads them (no '_' in them)."""
+    try:
+        values = [float(f) for f in line.split(",")]
+    except ValueError:
+        return False
+    return len(values) == width and "_" not in line and all(map(math.isfinite, values))
+
+
 def _read_csv(path: str, header: str) -> np.ndarray:
     """The rows under the expected header, one column per name; blank lines
     are skipped, a '#' row is non-numeric, NaN and infinity are rejected."""
+    width = header.count(",") + 1
     with open(path) as fh:
         got = fh.readline().strip()
         if got != header:
             raise ValueError(f"{path}: expected header {header!r}, got {got!r}")
+        if not any(line.strip() for line in fh):  # loadtxt would warn of no data
+            return np.empty((0, width))
+    error = None
     try:  # given the path, numpy parses in chunks; given a file, line by line
         data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1)
+        if data.shape[1] == width and np.isfinite(data).all():
+            return data
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    width = header.count(",") + 1
-    if len(data) and data.shape[1] != width:
-        raise ValueError(f"{path}: expected {width} columns, got {data.shape[1]}")
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: NaN or infinite entries")
-    return data
+        error = exc
+    for n, line in _data_lines(path):  # numpy's row numbers skip the header and blanks
+        if not _is_row(line, width):
+            raise ValueError(f"{path}:{n}: expected {width} finite numbers, got {line.strip()!r}")
+    raise ValueError(f"{path}: {error}")
 
 
 def _read_sidecar(path: str, required=()) -> dict:
@@ -117,7 +136,8 @@ def load_profile(path: str, required=()) -> tuple[RealField, dict]:
     dx = x[1] - x[0]
     bad = np.abs(np.diff(x) - dx) > SPACING_RTOL * abs(dx)
     if np.any(bad):
-        lineno = int(np.argmax(bad)) + 3  # header + 1-based + gap offset
+        row = int(np.argmax(bad)) + 1  # the row after the gap
+        lineno = next(itertools.islice(_data_lines(path), row, None))[0]
         raise ValueError(f"{path}:{lineno}: non-uniform spacing (missing row?)")
     n = x.size
     L = -x[0]
@@ -172,25 +192,3 @@ def save_trace(trace: EvolutionTrace, path: str) -> None:
     if trace.orbital_distance_series is not None:
         columns["orbital_distance"] = trace.orbital_distance_series
     _write_csv(path, columns)
-
-
-def save_field2d(field: RealField2D, path: str) -> None:
-    """Row-major x,y,value CSV plus a JSON grid sidecar."""
-    g = field.grid
-    _write_csv(path, {"x": np.repeat(g.x, g.ny), "y": np.tile(g.y, g.nx),
-                      "value": field.values.ravel()})
-    dump_json({"nx": g.nx, "ny": g.ny, "Lx": g.Lx, "Ly": g.Ly}, _sidecar_path(path))
-
-
-def load_field2d(path: str) -> RealField2D:
-    """Read a row-major x,y,value CSV on the grid its sidecar declares."""
-    meta = _read_sidecar(path, required=("nx", "ny", "Lx", "Ly"))
-    g = make_grid2d(int(meta["nx"]), int(meta["ny"]), meta["Lx"], meta["Ly"])
-    data = _read_csv(path, "x,y,value")
-    if len(data) != g.nx * g.ny:
-        raise ValueError(f"{path}: expected {g.nx * g.ny} rows, got {len(data)}")
-    x, y, v = np.moveaxis(data.reshape(g.nx, g.ny, 3), 2, 0)
-    if (np.any(np.abs(x - g.x[:, None]) > SPACING_RTOL * g.dx)
-            or np.any(np.abs(y - g.y) > SPACING_RTOL * g.dy)):
-        raise ValueError(f"{path}: grid mismatch: x,y columns off the sidecar's grid")
-    return field2d_from_values(g, v)

@@ -1,6 +1,6 @@
-"""Two-dimensional KP-side checks: the anisotropic Hamiltonian, the
-x-antiderivative of the transverse derivative, the closed Pohojaev-type
-identity chain, and the anisotropic Gagliardo-Nirenberg ratio.
+"""Two-dimensional KP-side checks: the x-antiderivative of the transverse
+derivative, the closed Pohojaev-type identity chain, and the anisotropic
+Gagliardo-Nirenberg ratio.
 
 No 2D solitary wave is solved for and no 2D evolution is run; the chain of
 identities is algebraic and the functional checks operate on explicitly
@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .functionals import FunctionalValue, Report
+from .functionals import Report
 from .spectral import _readonly
 
 __all__ = [
@@ -26,10 +26,7 @@ __all__ = [
     "make_grid2d",
     "field2d_from_values",
     "field2d_from_function",
-    "integrate2d",
-    "project_zero_x_mean",
     "dx_inv_dy",
-    "kp_energy",
     "kp_identity_consistency",
     "blt_ratio",
     "kp_rescale",
@@ -88,10 +85,6 @@ def field2d_from_function(grid: Grid2D, f: Callable) -> RealField2D:
     return field2d_from_values(grid, f(X, Y))
 
 
-def integrate2d(u: RealField2D) -> float:
-    return float(u.grid.dx * u.grid.dy * np.sum(u.values))
-
-
 def _zero_x_mean_violation(u: RealField2D) -> float:
     """Largest |x-line mean| relative to the sup of the field."""
     means = np.mean(u.values, axis=0)
@@ -101,13 +94,6 @@ def _zero_x_mean_violation(u: RealField2D) -> float:
     return float(np.max(np.abs(means)) / sup)
 
 
-def project_zero_x_mean(u: RealField2D) -> RealField2D:
-    """Remove every x-line mean; the explicit projection onto the domain of
-    the x-antiderivative."""
-    vals = u.values - np.mean(u.values, axis=0, keepdims=True)
-    return field2d_from_values(u.grid, vals)
-
-
 def dx_inv_dy(u: RealField2D) -> RealField2D:
     """Apply the multiplier eta/xi, i.e. the x-antiderivative of u_y.
 
@@ -115,10 +101,8 @@ def dx_inv_dy(u: RealField2D) -> RealField2D:
     transform plane vanishes); anything else is rejected.
     """
     if _zero_x_mean_violation(u) > 1e-10:
-        raise ValueError(
-            "dx_inv_dy requires zero x-line means (xi = 0 modes); "
-            "apply project_zero_x_mean first"
-        )
+        raise ValueError("dx_inv_dy requires zero x-line means (xi = 0 modes): "
+                         "u(., y) must integrate to zero in x for every y")
     grid = u.grid
     xi_safe = np.where(grid.xi != 0.0, grid.xi, 1.0)
     mult = np.where(grid.xi != 0.0, grid.eta / xi_safe, 0.0)
@@ -132,22 +116,6 @@ def _dx_alpha_power(u: RealField2D, s: float) -> float:
     uhat = np.fft.fft2(u.values)
     w = grid.dx * grid.dy / (grid.nx * grid.ny)
     return float(w * np.sum(np.abs(grid.xi) ** s * np.abs(uhat) ** 2))
-
-
-def kp_energy(u: RealField2D, eps: int, alpha: float) -> FunctionalValue:
-    """(1/2) int |D_x^{a/2}u|^2 - eps (1/2) int |dx^{-1} u_y|^2 - (1/6) int u^3."""
-    if eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps}")
-    grid = u.grid
-    t1 = 0.5 * _dx_alpha_power(u, alpha)
-    v = dx_inv_dy(u)
-    t2 = -eps * 0.5 * grid.dx * grid.dy * np.sum(v.values**2)
-    t3 = -grid.dx * grid.dy * np.sum(u.values**3) / 6.0
-    return FunctionalValue(
-        name="kp_energy",
-        value=t1 + t2 + t3,
-        components=(("gradient_x", t1), ("transverse", t2), ("cubic", t3)),
-    )
 
 
 # -- the identity chain ----------------------------------------------------------

@@ -10,7 +10,7 @@ steppers) manipulates fields through Fourier multipliers on this box:
 * integrals are uniform Riemann sums, spectrally accurate for smooth
   periodic integrands,
 * quadratic forms ``int m(D)u u`` are Parseval sums over the one-sided
-  spectrum (``quad_form``): each interior mode stands for the pair
+  spectrum of u (``quad_form``): each interior mode stands for the pair
   ``+-xi`` and counts twice, the mean (DC) and Nyquist modes count once;
   the functionals and checks take a field's form (``_field_form``) and
   each multiplier round trip (``_apply_multiplier_array``) from here,
@@ -286,20 +286,17 @@ def l2_norm(u: RealField) -> float:
     return float(np.sqrt(u.grid.dx) * np.linalg.norm(u.values))
 
 
-def quad_form(uhat: np.ndarray, grid: Grid1D, weight: np.ndarray | float,
-              vhat: np.ndarray | None = None) -> float:
-    """Parseval form of int (m(D)u) v dx from the one-sided spectra
-    uhat = rfft(u) and vhat = rfft(v) (v = u when vhat is None), with
-    weight = m(xi_r) for a real, even symbol m.
+def quad_form(uhat: np.ndarray, grid: Grid1D, weight: np.ndarray | float) -> float:
+    """Parseval form of int (m(D)u) u dx from the one-sided spectrum
+    uhat = rfft(u), with weight = m(xi_r) for a real, even symbol m.
 
     Interior modes stand for the pair +-xi and count twice; the mean and
     Nyquist modes count once.  A real spectrum (of an even field, see
     _even_rfft) has no imaginary products to add.
     """
-    vhat = uhat if vhat is None else vhat
-    power = uhat.real * vhat.real
-    if np.iscomplexobj(uhat) and np.iscomplexobj(vhat):
-        power += uhat.imag * vhat.imag
+    power = uhat.real * uhat.real
+    if np.iscomplexobj(uhat):
+        power += uhat.imag * uhat.imag
     power *= weight
     return float(grid.dx / grid.n * (2.0 * np.sum(power) - power[0] - power[-1]))
 

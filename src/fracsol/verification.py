@@ -280,8 +280,8 @@ def iq_scaling_check(
                 ))
                 reports.append(_report(
                     f"energy_law_theta_{theta:g}",
-                    energy_fkdv(v_theta, sym).value,
-                    theta**exponent * energy_fkdv(base.profile, sym).value,
+                    energy_fkdv(v_theta, sym),
+                    theta**exponent * energy_fkdv(base.profile, sym),
                     ENERGY_LAW_TOL,
                 ))
                 tail = max(tail, spectral_tail(v_theta))

@@ -187,8 +187,8 @@ _LIST_FLAGS = ("thetas", "radii", "alphas", "cs")
 
 def _bad_flag_cases():
     """The hand-picked step cases, then every float flag of every command with
-    nan and inf, every tolerance with -1, and every value list empty, nan or
-    inf; each is a usage error."""
+    nan and inf, every tolerance with -1, and every value list empty, nan,
+    inf or a word; each is a usage error."""
     cases = dict(_BAD_STEP_FLAGS)
     for cmd, (_, _, defaults) in COMMANDS.items():
         for key, default in defaults.items():
@@ -198,7 +198,7 @@ def _bad_flag_cases():
             if key in TOLERANCES:
                 values["negative"] = "-1"
             if key in _LIST_FLAGS:
-                values.update(empty=",", nan="nan", inf="inf")
+                values.update(empty=",", nan="nan", inf="inf", word="abc")
             for label, value in values.items():
                 case_id = f"{cmd}_{key}_{label}".replace("-", "_")
                 cases.setdefault(case_id, [cmd, f"--{key.replace('_', '-')}", value])

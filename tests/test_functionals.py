@@ -9,9 +9,9 @@ from fracsol import (
     bbm_quadratic,
     energy_fkdv,
     field_from_values,
-    gn_check,
     make_grid,
     mass,
+    quad_form,
     shift_field,
     weinstein,
 )
@@ -41,29 +41,32 @@ class TestMass:
 class TestEnergy:
     def test_zero(self):
         g = make_grid(64, 5.0)
-        fv = energy_fkdv(field_from_values(g, np.zeros(g.n)), POWER_1)
-        assert fv.value == 0.0
+        assert energy_fkdv(field_from_values(g, np.zeros(g.n)), POWER_1) == 0.0
 
     def test_benjamin_ono_terms(self, grid_desk):
-        fv = energy_fkdv(bo_profile(grid_desk), POWER_1)
-        parts = dict(fv.components)
-        assert abs(parts["kinetic"] - 2.0 * np.pi) < 1e-3
-        assert abs(parts["cubic"] + 4.0 * np.pi) < 1e-3
-        assert abs(fv.value + 2.0 * np.pi) < 1e-3
+        u = bo_profile(grid_desk)
+        kinetic = 0.5 * quad_form(np.fft.rfft(u.values), grid_desk, grid_desk.xi_r)
+        cubic = grid_desk.dx * np.sum(u.values**3) / 6.0
+        assert abs(kinetic - 2.0 * np.pi) < 1e-3
+        assert abs(cubic - 4.0 * np.pi) < 1e-3
+        assert abs(energy_fkdv(u, POWER_1) + 2.0 * np.pi) < 1e-3
 
     def test_components_sum_to_value(self, grid_desk, rng):
+        # the kinetic part is the dispersive half of the BBM quadratic form
         u = field_from_values(grid_desk, rng.standard_normal(grid_desk.n)
                               * np.exp(-(grid_desk.x / 30.0) ** 2))
-        fv = energy_fkdv(u, DispersionSymbol.power(0.7))
-        assert abs(fv.value - sum(v for _, v in fv.components)) < 1e-12 * (1 + abs(fv.value))
+        sym = DispersionSymbol.power(0.7)
+        value = energy_fkdv(u, sym)
+        kinetic = bbm_quadratic(u, sym) - mass(u)
+        cubic = grid_desk.dx * np.sum(u.values**3) / 6.0
+        assert abs(value - (kinetic - cubic)) < 1e-12 * (1 + abs(value))
 
     def test_sign_flip_parity(self, grid_desk):
+        # the kinetic part is even in u and the cubic part odd
         u = bo_profile(grid_desk)
         minus = energy_fkdv(-1.0 * u, POWER_1)
         plus = energy_fkdv(u, POWER_1)
-        kinetic = dict(plus.components)["kinetic"]
-        cubic = -dict(plus.components)["cubic"]
-        assert abs(minus.value - (kinetic + cubic)) < 1e-10
+        assert abs((minus - plus) - grid_desk.dx * np.sum(u.values**3) / 3.0) < 1e-10
 
 
 class TestBBMFunctionals:
@@ -137,28 +140,6 @@ class TestWeinstein:
         assert abs(weinstein(wide, 2.0, p=2) - j) < 1e-10 * j
 
 
-class TestGNCheck:
-    def test_ratio_is_inverse_weinstein(self, grid_desk):
-        u = bo_profile(grid_desk)
-        rep = gn_check(u, 0.75, C=1.0)
-        assert abs(rep.ratio - 1.0 / weinstein(u, 0.75)) < 1e-12
-
-    def test_ground_state_saturates(self, q075_wave):
-        # sharp constant = 1/J(Q); at C = 1/J(Q) the ground state sits at equality
-        q = q075_wave.profile
-        sharp = 1.0 / weinstein(q, 0.75)
-        rep = gn_check(q, 0.75, C=sharp * (1.0 + 1e-10))
-        assert rep.holds
-        gauss = field_from_values(q.grid, np.exp(-q.grid.x**2))
-        rep_g = gn_check(gauss, 0.75, C=sharp)
-        assert rep_g.holds
-        assert rep_g.ratio < rep.ratio
-
-    def test_rejects_energy_supercritical(self, grid_desk):
-        with pytest.raises(ValueError):
-            gn_check(bo_profile(grid_desk), 0.2, C=1.0)
-
-
 class TestOracleAgreement:
     """Direct DFT-matrix quadrature oracle on a coarse grid (no FFT path)."""
 
@@ -173,10 +154,10 @@ class TestOracleAgreement:
 
     def test_energy_against_brute_force(self):
         alpha = 0.7
-        fv = energy_fkdv(self.u, DispersionSymbol.power(alpha))
+        energy = energy_fkdv(self.u, DispersionSymbol.power(alpha))
         kinetic_oracle = 0.5 * self._dft_power(alpha)
         cubic_oracle = self.g.dx * np.sum(self.u.values**3) / 6.0
-        assert abs(fv.value - (kinetic_oracle - cubic_oracle)) < 1e-10
+        assert abs(energy - (kinetic_oracle - cubic_oracle)) < 1e-10
 
     def test_weinstein_against_brute_force(self):
         alpha = 0.7
@@ -195,7 +176,7 @@ class TestTranslationInvariance:
         sym = DispersionSymbol.power(0.75)
         pairs = [
             (mass(u), mass(v)),
-            (energy_fkdv(u, sym).value, energy_fkdv(v, sym).value),
+            (energy_fkdv(u, sym), energy_fkdv(v, sym)),
             (bbm_quadratic(u, sym), bbm_quadratic(v, sym)),
             (bbm_hamiltonian(u), bbm_hamiltonian(v)),
             (weinstein(u, 0.75), weinstein(v, 0.75)),

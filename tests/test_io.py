@@ -1,5 +1,5 @@
 import json
-import os
+import warnings
 
 import numpy as np
 import pytest
@@ -7,16 +7,7 @@ import pytest
 from fracsol import DispersionSymbol, ModelSpec, field_from_values, make_grid
 from fracsol.evolution import evolve
 from fracsol.ground_state import FKDV
-from fracsol.io import (
-    load_field2d,
-    load_profile,
-    load_wave,
-    save_field2d,
-    save_profile,
-    save_trace,
-    save_wave,
-)
-from fracsol.kp import field2d_from_function, make_grid2d
+from fracsol.io import load_profile, load_wave, save_profile, save_trace, save_wave
 
 
 @pytest.fixture()
@@ -73,8 +64,34 @@ class TestProfileRoundTrip:
         lines = open(path).read().splitlines()
         lines[5] = row.format(x=field.grid.x[4], v=field.values[4])
         open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"p\.csv: "):
+        with pytest.raises(ValueError, match=r"p\.csv:6: "):
             load_profile(path)
+
+    @pytest.mark.parametrize("row, match", [
+        ("abc,0", "expected 2 finite numbers, got 'abc,0'"),
+        ("nan,0", "expected 2 finite numbers, got 'nan,0'"),
+        (None, "non-uniform spacing"),
+    ], ids=["non_numeric", "nan", "missing_row"])
+    def test_line_numbers_count_blank_lines(self, tmp_path, field, row, match):
+        # the header is line 1 and a blank line counts, as an editor shows them:
+        # after a blank line 3, the third data row (or the fourth, when the
+        # third is dropped) is line 5
+        path = str(tmp_path / "p.csv")
+        save_profile(field, path)
+        lines = open(path).read().splitlines()
+        lines[3:4] = [] if row is None else [row]
+        open(path, "w").write("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        with pytest.raises(ValueError, match=rf"p\.csv:5: {match}"):
+            load_profile(path)
+
+    @pytest.mark.parametrize("body", ["", "\n \n"], ids=["no_rows", "blank_rows"])
+    def test_header_only_is_too_few_rows_without_warning(self, tmp_path, body):
+        path = str(tmp_path / "e.csv")
+        open(path, "w").write("x,value\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"e\.csv: too few rows \(0\)"):
+                load_profile(path)
 
     def test_grid_mismatch(self, tmp_path, field):
         path = str(tmp_path / "p.csv")
@@ -151,53 +168,14 @@ class TestTraceCSV:
         assert open(path).read().splitlines()[0] == "t,quadratic,hamiltonian"
 
 
-class TestField2D:
-    def test_round_trip(self, tmp_path):
-        g = make_grid2d(16, 32, 4.0, 8.0)
-        f = field2d_from_function(g, lambda x, y: np.sin(np.pi * x / 4.0) * np.cos(np.pi * y / 8.0))
-        path = str(tmp_path / "f.csv")
-        save_field2d(f, path)
-        loaded = load_field2d(path)
-        np.testing.assert_array_equal(loaded.values, f.values)
-        assert loaded.grid.nx == 16 and loaded.grid.ny == 32
-
-    def test_missing_sidecar(self, tmp_path):
-        path = str(tmp_path / "f.csv")
-        open(path, "w").write("x,y,value\n")
-        with pytest.raises(ValueError, match="sidecar"):
-            load_field2d(path)
-
-    @pytest.mark.parametrize("sidecar, match", [
-        ("[16, 32, 4.0, 8.0]", "not a JSON object"),
-        ('{"nx": 16, "ny": 32, "Lx": 4.0}', "lacks Ly"),
-        ('{"nx": 16, "ny": 32, "Lx": 4.0, "Ly": "8"}', "sidecar Ly="),
-        ('{"nx": 16.5, "ny": 32, "Lx": 4.0, "Ly": 8.0}', "sidecar nx="),
-        ('{"nx": 16, "ny": 32, "Lx": 5.0, "Ly": 8.0}', "grid mismatch"),
-        ('{"nx": 16, "ny": 32, "Lx": 4.0, "Ly": 9.0}', "grid mismatch"),
-    ], ids=["not_object", "missing_key", "string_number", "fraction_count", "x_off_grid",
-            "y_off_grid"])
-    def test_rejects_malformed_sidecar(self, tmp_path, sidecar, match):
-        # the sidecar follows the profile sidecar's rules, and the CSV's x,y
-        # columns must lie on the grid it declares
-        g = make_grid2d(16, 32, 4.0, 8.0)
-        path = str(tmp_path / "f.csv")
-        save_field2d(field2d_from_function(g, lambda x, y: x * y), path)
-        (tmp_path / "f.json").write_text(sidecar + "\n")
-        with pytest.raises(ValueError, match=match):
-            load_field2d(path)
-
-
 def test_save_load_save_is_byte_identical(tmp_path, q075_wave):
-    """Loading an artifact and saving it again rewrites the same bytes: a
-    profile with its wave sidecar, and a 2D field with its grid sidecar."""
+    """Loading a profile with its wave sidecar and saving it again rewrites
+    the same bytes."""
     first, second = tmp_path / "first", tmp_path / "second"
     first.mkdir()
     second.mkdir()
     save_wave(q075_wave, str(first / "q.csv"))
     field, meta = load_profile(str(first / "q.csv"))
     save_profile(field, str(second / "q.csv"), meta)
-    g = make_grid2d(16, 32, 4.0, 8.0)
-    save_field2d(field2d_from_function(g, lambda x, y: np.exp(-x**2 - y**2)), str(first / "f.csv"))
-    save_field2d(load_field2d(str(first / "f.csv")), str(second / "f.csv"))
-    for name in ("q.csv", "q.json", "f.csv", "f.json"):
+    for name in ("q.csv", "q.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
