@@ -23,6 +23,7 @@ import contextvars
 import functools
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import io as fio
 from .errors import NumericalError
-from .evolution import evolve, stability_experiment
+from .evolution import _misses, evolve, stability_experiment
 from .functionals import mass, weinstein
 from .ground_state import (
     FBBM,
@@ -131,6 +132,16 @@ def _or_default(cfg, key, default):
         raise ValueError(f"--{key.replace('_', '-')} must be finite and >= 0 "
                          f"(0 selects the default), got {value}")
     return value or default
+
+
+def _step(cfg, default: float) -> float:
+    """--dt, or for 0 the command's default step, shortened to
+    T / ceil(T / default) where whole steps of it would miss --T.  An
+    explicit --dt is kept as it is; evolve warns when it misses."""
+    T = cfg["T"]
+    if cfg["dt"] or not _misses(T, default):
+        return _or_default(cfg, "dt", default)
+    return T / math.ceil(T / default)
 
 
 def _floats(cfg, key) -> list:
@@ -245,7 +256,7 @@ def cmd_evolve(cfg, args) -> int:
         raise ValueError("evolve needs --profile")
     wave = fio.load_wave(cfg["profile"])
     grid = wave.profile.grid
-    dt = _or_default(cfg, "dt", 0.1 * grid.dx)
+    dt = _step(cfg, 0.1 * grid.dx)
     record = _or_default(cfg, "record_every", max(1, int(round(0.25 / dt))))
     trace = evolve(wave.model, wave.profile, cfg["T"], dt, record_every=record,
                    track_orbit=wave if cfg["track"] else None)
@@ -267,7 +278,7 @@ def cmd_evolve(cfg, args) -> int:
 
 
 def cmd_stability(cfg, args) -> int:
-    dt = _or_default(cfg, "dt", 2.0**-9)
+    dt = _step(cfg, 2.0**-9)
     wave = petviashvili(_model(cfg), cfg["c"], make_grid(cfg["n"], cfg["L"]))
     report, trace = stability_experiment(
         wave, cfg["delta"], cfg["perturb"], cfg["T"], dt,

@@ -3,13 +3,14 @@
 The fKdV family u_t = d/dx p(D) u - d/dx u^{p+1}/(p+1) and the fBBM family
 u_t = -(1 + p(D))^{-1} d/dx (u + u^2/2) are advanced by the one fourth-order
 exponential integrator of Cox-Matthews, with the phi-coefficients evaluated
-by contour averages (Kassam-Trefethen).  A family fixes only its diagonal
+in closed form (by Taylor series near 0).  A family fixes only its diagonal
 linear multiplier, applied exactly, its nonlinear multiplier on the 2/3-rule
 dealiased u^{p+1}, and its conserved pair.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -40,8 +41,8 @@ __all__ = [
 
 BLOWUP_FACTOR = 1e6
 DELTA_FLOOR = 1e-5
-N_CONTOUR = 32  # contour points per mode
-CONTOUR_BLOCK = 1024  # modes per block of contour arrays
+TAYLOR_RADIUS = 1.0  # |z| below which the phi-functions are summed as series
+TAYLOR_TERMS = 18  # terms of the phi_1 series: the first one left out is < 1e-17
 NEWTON_CAP = 20  # Newton steps of the orbital-distance shift refinement
 
 
@@ -66,21 +67,74 @@ class EvolutionTrace:
         return drift
 
 
+def _phi_series(z: np.ndarray):
+    """phi_1, phi_2, phi_3 of z (|z| < TAYLOR_RADIUS) by Horner's rule on
+    phi_1(z) = sum_k z^k / (k+1)!, whose inner sums are phi_3 and then phi_2."""
+    phi3 = np.full(z.shape, 1.0 / math.factorial(TAYLOR_TERMS), dtype=complex)
+    for k in range(TAYLOR_TERMS - 1, 2, -1):
+        phi3 = phi3 * z + 1.0 / math.factorial(k)
+    phi2 = phi3 * z + 0.5
+    return phi2 * z + 1.0, phi2, phi3
+
+
+def _expm1(z: np.ndarray) -> np.ndarray:
+    """e^z - 1 without the cancellation near the zeros of e^z - 1: for
+    z = x + iy it is expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y."""
+    x, y = z.real, z.imag
+    half_sin = np.sin(y / 2.0)
+    out = np.empty_like(z)
+    out.real = np.expm1(x) * np.cos(y) - 2.0 * half_sin * half_sin
+    out.imag = np.exp(x) * np.sin(y)
+    return out
+
+
 def _etdrk4_coefficients(lin: np.ndarray, dt: float):
-    """phi-function coefficients (f2 doubled) by Cauchy contour averages
-    around dt*lin, in blocks of at least CONTOUR_BLOCK modes; a shorter block
-    would skip numpy's in-place temporaries and round unlike the one-shot mean."""
-    z = dt * lin.astype(complex)
-    roots = np.exp(2j * np.pi * (np.arange(N_CONTOUR) + 0.5) / N_CONTOUR)
-    q, f1, f2, f3 = (np.empty_like(z) for _ in range(4))
-    for blk in np.array_split(np.arange(z.size), max(1, z.size // CONTOUR_BLOCK)):
-        zr = z[blk, None] + roots[None, :]
-        ez = np.exp(zr)
-        q[blk] = dt * np.mean((np.exp(zr / 2.0) - 1.0) / zr, axis=1)
-        f1[blk] = dt * np.mean((-4.0 - zr + ez * (4.0 - 3.0 * zr + zr**2)) / zr**3, axis=1)
-        f2[blk] = dt * np.mean((2.0 + zr + ez * (zr - 2.0)) / zr**3, axis=1)
-        f3[blk] = dt * np.mean((-4.0 - 3.0 * zr - zr**2 + ez * (4.0 - zr)) / zr**3, axis=1)
-    return np.exp(z), np.exp(z / 2.0), q, f1, 2.0 * f2, f3
+    """E, E2 = exp(z), exp(z/2) of z = dt*lin and the phi-coefficients
+    Q = dt phi_1(z/2)/2, f1 = dt(phi_1 - 3 phi_2 + 4 phi_3),
+    f2x2 = 2 dt(phi_2 - 2 phi_3) and f3 = dt(4 phi_3 - phi_2).  From
+    |z| = TAYLOR_RADIUS up the phi-functions take the closed forms
+    phi_1 = (e^z - 1)/z, phi_2 = (phi_1 - 1)/z and phi_3 = (phi_2 - 1/2)/z,
+    below it (z = 0 included) their Taylor series; each row is built in place.
+    e^z - 1 is taken by _expm1, so Q keeps its digits near its zeros
+    z = 4 pi i m, where e^{z/2} - 1 would cancel."""
+    z = dt * np.asarray(lin, dtype=complex)
+    E = np.exp(z)
+    E2 = np.divide(z, 2.0)
+    np.exp(E2, out=E2)
+
+    series = np.abs(z) < 2.0 * TAYLOR_RADIUS  # |z/2| below the radius
+    Q = _expm1(z / 2.0)
+    np.divide(Q, z, out=Q, where=~series)  # (e^{z/2} - 1)/z = phi_1(z/2)/2
+    Q[series] = _phi_series(z[series] / 2.0)[0] / 2.0
+    Q *= dt
+
+    series = np.abs(z) < TAYLOR_RADIUS
+    closed = ~series
+    phi1 = _expm1(z)
+    np.divide(phi1, z, out=phi1, where=closed)
+    phi2 = np.subtract(phi1, 1.0)
+    np.divide(phi2, z, out=phi2, where=closed)
+    phi3 = np.subtract(phi2, 0.5)
+    np.divide(phi3, z, out=phi3, where=closed)
+    phi1[series], phi2[series], phi3[series] = _phi_series(z[series])
+
+    # the phi rows become f1, f2x2 and f3; the row of z is spent and does the work
+    f1, f2x2, f3 = phi1, phi2, phi3
+    work = np.multiply(3.0, phi2, out=z)
+    f1 -= work
+    f1 += np.multiply(4.0, phi3, out=work)
+    np.subtract(work, phi2, out=f3)  # 4 phi_3 - phi_2
+    f2x2 *= 2.0
+    f2x2 -= work  # 2 phi_2 - 4 phi_3
+    for row in (f1, f2x2, f3):
+        row *= dt
+    return E, E2, Q, f1, f2x2, f3
+
+
+def _misses(T: float, dt: float) -> bool:
+    """Whether the round(T/dt) steps of dt that evolve takes end more than
+    1e-9 max(T, 1) away from T."""
+    return abs(int(round(T / dt)) * dt - T) > 1e-9 * max(T, 1.0)
 
 
 def evolve(
@@ -115,7 +169,7 @@ def evolve(
     n_steps = int(round(T / dt))
     if n_steps < 1:
         raise ValueError(f"horizon T={T} shorter than one step dt={dt}")
-    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+    if _misses(T, dt):
         warnings.warn(
             f"dt={dt} does not divide T={T}; integrating to t={n_steps * dt} instead"
         )
@@ -136,8 +190,8 @@ def evolve(
         pair = {"mass": mass, "energy": lambda u: energy_fkdv(u, symbol, p)}
 
     # the linear part is exact, so only the nonlinear term bounds dt
-    sup0 = float(np.max(np.abs(u0.values)))
-    bound = dt * (p + 1) * sup0**p * float(np.max(np.abs(nl_mult)))
+    sup0 = _sup(u0.values)
+    bound = dt * (p + 1) * sup0**p * _sup(nl_mult.imag)  # nl_mult is imaginary
     if bound > 4.0:
         warnings.warn(f"{model.family} stability bound dt (p+1) sup^p max|N| = {bound:.2f} > 4")
     E, E2, Q, f1, f2x2, f3 = _etdrk4_coefficients(lin, dt)
@@ -237,17 +291,26 @@ def orbital_distance(u: RealField, Q: SolitaryWave) -> tuple[float, float]:
     z0 = int(np.argmax(np.fft.irfft(cross, n=grid.n))) * grid.dx
     cross[1:-1] *= 2.0  # now C(y) = Re sum_k cross_k e^{i xi_k y}
     z = z0
+    # each step fills these two rows; every product keeps its operand order
+    # of cross * exp(1j * xi * z), xi * Im and xi^2 * Re, so the sums round alike
+    terms = np.empty(cross.shape, dtype=complex)  # cross is real for an even u
+    row = np.empty_like(xi)
+    xi2 = xi**2
     for _ in range(NEWTON_CAP):
-        terms = cross * np.exp(1j * xi * z)
-        d1 = -float(np.sum(xi * terms.imag))
-        d2 = -float(np.sum(xi**2 * terms.real))
+        np.multiply(1j, xi, out=terms)
+        terms *= z
+        np.exp(terms, out=terms)
+        np.multiply(cross, terms, out=terms)
+        d1 = -float(np.sum(np.multiply(xi, terms.imag, out=row)))
+        d2 = -float(np.sum(np.multiply(xi2, terms.real, out=row)))
         if d2 >= 0.0:
             break
         step = min(max(z - d1 / d2, z0 - grid.dx), z0 + grid.dx) - z
         z += step
         if abs(step) < 1e-13 * max(1.0, abs(z)):
             break
-    dist = np.sqrt(quad_form(_shift_phase(xi, z) * uhat - qhat, grid, weight))
+    aligned = np.multiply(_shift_phase(xi, z), uhat, out=terms)  # minus qhat below
+    dist = np.sqrt(quad_form(np.subtract(aligned, qhat, out=aligned), grid, weight))
     y_star = (z + grid.L) % (2.0 * grid.L) - grid.L
     return float(dist), float(y_star)
 

@@ -147,7 +147,11 @@ def load_profile(path: str, required=()) -> tuple[RealField, dict]:
     if meta.get("n", n) != n or abs(meta.get("L", L) - L) > SPACING_RTOL * max(L, 1.0):
         raise ValueError(f"{path}: grid mismatch: sidecar n={meta.get('n')}, "
                          f"L={meta.get('L')}; CSV rows={n}, L={L}")
-    return field_from_values(make_grid(n, L), v), meta
+    try:
+        grid = make_grid(n, L)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return field_from_values(grid, v), meta
 
 
 def save_wave(wave: SolitaryWave, path: str) -> None:
@@ -173,16 +177,19 @@ def load_wave(path: str) -> SolitaryWave:
     """Rebuild a SolitaryWave from a profile CSV + sidecar, recomputing the
     residual diagnostics from the loaded samples."""
     field, meta = load_profile(path, required=("c", "alpha", "family"))
-    symbol = DispersionSymbol(kind=meta.get("symbol", "power"), alpha=float(meta["alpha"]),
-                              beta=float(meta.get("beta", 0.0)))
-    model = ModelSpec(
-        family=meta["family"],
-        symbol=symbol,
-        p=int(meta.get("p", 1)),
-        bbm_form=meta.get("bbm_form", "paper"),
-    )
-    return solitary_from_profile(field, float(meta["c"]), model,
-                                 iterations=int(meta.get("iterations", 0)))
+    try:  # every value below comes from the sidecar
+        symbol = DispersionSymbol(kind=meta.get("symbol", "power"), alpha=float(meta["alpha"]),
+                                  beta=float(meta.get("beta", 0.0)))
+        model = ModelSpec(
+            family=meta["family"],
+            symbol=symbol,
+            p=int(meta.get("p", 1)),
+            bbm_form=meta.get("bbm_form", "paper"),
+        )
+        return solitary_from_profile(field, float(meta["c"]), model,
+                                     iterations=int(meta.get("iterations", 0)))
+    except ValueError as exc:
+        raise ValueError(f"{_sidecar_path(path)}: {exc}") from exc
 
 
 def save_trace(trace: EvolutionTrace, path: str) -> None:

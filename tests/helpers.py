@@ -1,7 +1,9 @@
 """Shared test utilities: the two-sided wavenumber lattice, the direct
-trigonometric-interpolant evaluator and the expression-form ETDRK4 loop for
-oracles, and recorders of the library's 1D transforms and of the solvers'
-even transforms."""
+trigonometric-interpolant evaluator, the expression-form ETDRK4 loop and
+the 40-digit ETDRK4 coefficients for oracles, and recorders of the
+library's 1D transforms and of the solvers' even transforms."""
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -99,3 +101,26 @@ def etdrk4_expression_form(model, u0, dt, n_steps):
         nc = nonlinear(c)
         uhat = E * uhat + f1 * n0 + f2x2 * (na + nb) + f3 * nc
     return np.fft.irfft(uhat, n=grid.n)
+
+
+def etdrk4_coefficients_reference(theta, dt):
+    """Q, f1, f2x2, f3 of evolution._etdrk4_coefficients at z = i*theta
+    (theta a float, taken exactly) for the step dt, as 40-digit sums of
+    their Taylor series, rounded once:
+    Q = dt sum_k (z/2)^k / (2 (k+1)!), f1 = dt sum_k (k+1)^2 z^k / (k+3)!,
+    f2x2 = 2 dt sum_k (k+1) z^k / (k+3)! and f3 = dt sum_k (1-k) z^k / (k+3)!."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        t, step, tiny = Decimal(theta), Decimal(dt), Decimal(10) ** -45
+        sums = [[Decimal(0), Decimal(0)] for _ in range(4)]  # real, imaginary
+        half, term = Decimal(1), Decimal(1) / 6  # (t/2)^k / (k+1)!, t^k / (k+3)!
+        k = 0
+        while abs(half) > tiny or abs(term) > tiny:
+            sign = 1 if k % 4 < 2 else -1  # i^k = sign, or sign * i for odd k
+            for acc, value in zip(sums, (half / 2, (k + 1) ** 2 * term,
+                                         2 * (k + 1) * term, (1 - k) * term)):
+                acc[k % 2] += sign * value
+            k += 1
+            half = half * t / (2 * (k + 1))
+            term = term * t / (k + 3)
+        return [complex(float(step * re), float(step * im)) for re, im in sums]

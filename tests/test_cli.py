@@ -251,6 +251,29 @@ class TestOtherCommands:
         header = open(trace).readline().strip()
         assert header == "t,mass,energy,orbital_distance"
 
+    def test_default_step_lands_on_the_horizon(self, tmp_path):
+        # neither 0.1 dx (evolve: 30.72 steps) nor 2^-9 (stability: 153.6
+        # steps) divides T = 0.3; each default becomes T / ceil(T / step) and
+        # the run ends on 0.3 without a warning, where it ran on to 0.3027 and
+        # 0.3008.  An explicit --dt that misses is kept, with the warning.
+        src = str(tmp_path / "q.csv")
+        assert main(["ground-state", "--out", src]) == 0  # dx = 400 / 4096
+        out = [str(tmp_path / name) for name in ("e.csv", "e.json", "s.csv", "s.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--profile", src, "--T", "0.3",
+                         "--out", out[0], "--report", out[1]]) == 0
+            assert main(["stability", "--T", "0.3", "--n", "4096",
+                         "--out", out[2], "--report", out[3]]) == 0
+        assert json.load(open(out[1]))["dt"] == 0.3 / 31
+        assert json.load(open(out[3]))["horizon"] == 0.3
+        for trace in (out[0], out[2]):
+            assert abs(np.loadtxt(trace, delimiter=",", skiprows=1)[-1, 0] - 0.3) < 1e-15
+        with pytest.warns(UserWarning, match="does not divide"):
+            assert main(["evolve", "--profile", src, "--T", "0.3", "--dt", "0.009765625",
+                         "--report", out[1]]) == 0
+        assert json.load(open(out[1]))["dt"] == 0.009765625
+
     def test_minimize_iq_command(self, tmp_path):
         report = str(tmp_path / "m.json")
         code = main(["minimize-iq", "--alpha", "0.75", "--q", "4.0", "--n", "2048",

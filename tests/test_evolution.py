@@ -1,7 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import etdrk4_expression_form, spy_transforms, two_sided_xi
+from helpers import (
+    etdrk4_coefficients_reference,
+    etdrk4_expression_form,
+    spy_transforms,
+    two_sided_xi,
+)
 
 from fracsol import (
     DispersionSymbol,
@@ -14,7 +21,6 @@ from fracsol import (
 )
 from fracsol.errors import NumericalError
 from fracsol.evolution import (
-    N_CONTOUR,
     _etdrk4_coefficients,
     evolve,
     make_perturbation,
@@ -167,24 +173,6 @@ class TestEvolve:
         reference = etdrk4_expression_form(model, u0, dt, 40)
         assert trace.final_state.values.tobytes() == reference.tobytes()
 
-    def test_blocked_coefficients_match_one_shot_contour(self, grid8):
-        # 4097 modes: the last block is not a whole CONTOUR_BLOCK
-        xi = grid8.xi_r
-        dt = 2.0**-9
-        for lin in (1j * xi * xi**0.75, -1j * xi / (1.0 + xi**0.75)):
-            z = dt * lin
-            zr = z[:, None] + np.exp(2j * np.pi * (np.arange(N_CONTOUR) + 0.5) / N_CONTOUR)
-            ez = np.exp(zr)
-            one_shot = (
-                np.exp(z), np.exp(z / 2.0),
-                dt * np.mean((np.exp(zr / 2.0) - 1.0) / zr, axis=1),
-                dt * np.mean((-4.0 - zr + ez * (4.0 - 3.0 * zr + zr**2)) / zr**3, axis=1),
-                2.0 * (dt * np.mean((2.0 + zr + ez * (zr - 2.0)) / zr**3, axis=1)),
-                dt * np.mean((-4.0 - 3.0 * zr - zr**2 + ez * (4.0 - zr)) / zr**3, axis=1),
-            )
-            for blocked, full in zip(_etdrk4_coefficients(lin, dt), one_shot):
-                np.testing.assert_array_equal(blocked, full)
-
     def test_rejects_bad_arguments(self, wave8):
         with pytest.raises(ValueError):
             evolve(wave8.model, wave8.profile, -1.0, 0.01)
@@ -192,6 +180,61 @@ class TestEvolve:
             evolve(wave8.model, wave8.profile, 1.0, 0.01, record_every=0)
         with pytest.raises(ValueError):
             evolve(wave8.model, wave8.profile, float("inf"), 0.01)
+
+
+def assert_coefficients_match_reference(lin, dt):
+    z = dt * lin
+    assert np.all(z.real == 0.0)
+    E, E2, *coefficients = _etdrk4_coefficients(lin, dt)
+    assert E.tobytes() == np.exp(z).tobytes()
+    assert E2.tobytes() == np.exp(z / 2.0).tobytes()
+    reference = np.array([etdrk4_coefficients_reference(theta, dt) for theta in z.imag]).T
+    for name, got, exact in zip(("Q", "f1", "f2x2", "f3"), coefficients, reference):
+        np.testing.assert_allclose(got, exact, rtol=1e-14, atol=0.0, err_msg=name)
+
+
+class TestCoefficients:
+    # near |z| = 1 a 32-point contour mean of the phi-functions was off by
+    # up to 2e-13: its nodes pass within 0.1 of the removable singularity at 0.
+    # 12.5664 lies 2.9e-5 from the zero 4 pi of Q, where e^{z/2} - 1 taken as
+    # exp(z/2) - 1 would lose 3e-12 to cancellation
+    @pytest.mark.parametrize("theta", [0.0, 1e-8, 1e-3, 0.5, 0.97, 1.0, 1.04, 2.0, 2.85,
+                                       4.24, 12.5664, 30.0])
+    def test_imaginary_axis_matches_the_exact_series(self, theta):
+        assert_coefficients_match_reference(np.array([1j * theta, -1j * theta]), 1.0)
+
+    @pytest.mark.parametrize("model, dt", [
+        (ModelSpec(family=FKDV, symbol=POWER(0.75)), 2.0**-9),
+        (ModelSpec(family=FKDV, symbol=POWER(0.75)), 2.0**-6),
+        (ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived"), 2.0**-9),
+        (ModelSpec(family=FBBM, symbol=POWER(0.75), bbm_form="derived"), 0.5),
+    ], ids=["fkdv", "fkdv_past_1", "fbbm", "fbbm_past_1"])
+    def test_family_multipliers_match_the_exact_series(self, grid_desk, model, dt):
+        # the linear multipliers of evolve; the larger steps take |z| past the
+        # switch radius 1, to 6.8 for fKdV and 1.1 for fBBM.  The first zero
+        # of f2x2 on the imaginary axis is at |z0| = 8.99, where
+        # 2 + z + e^z (z - 2) cancels: near it the rounding of e^z alone costs
+        # a relative error of about 1e-16 |z| / |z - z0|, so at dt = 2^-5
+        # (|z| up to 13.6) the 13 fKdV modes with |z| in [8.86, 9.05] miss
+        # 1e-14, by up to 1.4e-13.  Q's zeros at 4 pi m keep their digits.
+        xi = grid_desk.xi_r
+        ik = 1j * xi
+        ik[-1] = 0.0
+        symbol = model.symbol(xi)
+        lin = -ik / (1.0 + symbol) if model.family == FBBM else ik * symbol
+        assert_coefficients_match_reference(lin, dt)
+
+    def test_build_peaks_below_half_the_contour_blocks(self):
+        # at n = 16384 the blocks of 1024 x 32 contour values peaked at 3.2 MB
+        xi = make_grid(16384, 200.0).xi_r
+        lin = 1j * xi * xi**0.75
+        tracemalloc.start()
+        try:
+            _etdrk4_coefficients(lin, 2.0**-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6e6
 
 
 class TestOrbitalDistance:

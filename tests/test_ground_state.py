@@ -24,6 +24,7 @@ from fracsol import (
     make_grid,
     mass,
     minimize_iq,
+    orbital_distance,
     petviashvili,
     quad_form,
     rescale_solitary,
@@ -583,6 +584,31 @@ class TestCstar:
     def test_rejects_degenerate_alpha(self):
         with pytest.raises(ValueError):
             cstar(1.0, 1.0, 0.5)
+
+
+class TestMinimizerCorrespondence:
+    # criterion 04 away from c* = 1: at q = M(Q1) cstar is exactly 1 and
+    # rescale_solitary hands back Q1 itself, so only here does its dilation
+    # meet the minimizer; the box holds both waves to a tail below 1e-4
+    @pytest.mark.parametrize("factor, n, L", [(0.5, 65536, 3200.0), (2.0, 65536, 800.0)],
+                             ids=["half_mass", "double_mass"])
+    def test_minimizer_is_the_rescaled_ground_state(self, factor, n, L):
+        alpha = 0.75
+        grid = make_grid(n, L)
+        Q1 = petviashvili(ModelSpec(family=FKDV, symbol=POWER(alpha)), 1.0, grid)
+        q = factor * mass(Q1.profile)
+        res = minimize_iq(q, alpha, grid)
+        c_star = cstar(q, 2.0 * mass(Q1.profile), alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # within the resampling bound
+            Qs = rescale_solitary(Q1, c_star)
+        assert Qs is not Q1 and Qs.c == c_star != 1.0
+        assert max(spectral_tail(res.profile), spectral_tail(Qs.profile)) <= 1e-4
+        E_pred = c_star / (3.0 * alpha - 1.0) * (0.5 - alpha) * 2.0 * q
+        assert abs(res.theta - c_star) < 1e-4 * c_star
+        assert abs(res.I_q - E_pred) < 1e-4 * abs(E_pred) and res.I_q < 0.0
+        dist, _ = orbital_distance(res.profile, Qs)
+        assert dist < 1e-3 * energy_norm(Qs.profile, POWER(alpha))
 
 
 class TestMinimizeIq:

@@ -144,6 +144,29 @@ class TestWaveRoundTrip:
         with pytest.raises(ValueError, match=f"sidecar {key}="):
             load_wave(path)
 
+    @pytest.mark.parametrize("meta, rows, culprit, message", [
+        ({}, 100, "csv", "n must be a power of two with n >= 8, got 100"),
+        ({"family": "xyz"}, 64, "json", "unknown family 'xyz'"),
+        ({"symbol": "nope"}, 64, "json", "unknown symbol kind 'nope'"),
+        ({"alpha": 3.0}, 64, "json", "power symbol needs alpha in (0, 2], got 3.0"),
+        ({"family": "fbbm", "bbm_form": "odd"}, 64, "json",
+         "bbm_form must be 'paper' or 'derived', got 'odd'"),
+        ({"p": 0}, 64, "json", "nonlinearity power must be >= 1, got 0"),
+        ({"c": -1.0}, 64, "json", "velocity must be positive, got -1.0"),
+    ], ids=["rows", "family", "symbol", "alpha", "bbm_form", "p", "c"])
+    def test_rejected_values_name_their_file(self, tmp_path, meta, rows, culprit, message):
+        # the CSV for its row count, the sidecar for a value the model rejects
+        dx = 20.0 / 64
+        with open(tmp_path / "p.csv", "w") as fh:
+            fh.write("x,value\n")
+            fh.writelines(f"{(i - rows / 2) * dx!r},0.0\n" for i in range(rows))
+        sidecar = {"n": rows, "L": rows * dx / 2, "c": 1.0, "alpha": 0.75, "family": "fkdv"}
+        json.dump({**sidecar, **meta}, open(tmp_path / "p.json", "w"))
+        path = str(tmp_path / "p.csv")
+        with pytest.raises(ValueError) as err:
+            load_wave(path)
+        assert str(err.value) == f"{path[:-3]}{culprit}: {message}"
+
 
 class TestTraceCSV:
     def test_fkdv_trace_columns(self, tmp_path, q075_wave):
