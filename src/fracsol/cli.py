@@ -32,7 +32,7 @@ import numpy as np
 
 from . import io as fio
 from .errors import NumericalError
-from .evolution import _misses, evolve, stability_experiment
+from .evolution import _misses, _record_every, evolve, stability_experiment
 from .functionals import mass, weinstein
 from .ground_state import (
     FBBM,
@@ -257,7 +257,7 @@ def cmd_evolve(cfg, args) -> int:
     wave = fio.load_wave(cfg["profile"])
     grid = wave.profile.grid
     dt = _step(cfg, 0.1 * grid.dx)
-    record = _or_default(cfg, "record_every", max(1, int(round(0.25 / dt))))
+    record = _or_default(cfg, "record_every", _record_every(dt))
     trace = evolve(wave.model, wave.profile, cfg["T"], dt, record_every=record,
                    track_orbit=wave if cfg["track"] else None)
     if cfg["out"]:
@@ -278,6 +278,9 @@ def cmd_evolve(cfg, args) -> int:
 
 
 def cmd_stability(cfg, args) -> int:
+    if cfg["symbol"] != "power":
+        # checked before the solve: the identity gate covers pure powers only
+        raise ValueError(f"stability needs --symbol power, got --symbol {cfg['symbol']}")
     dt = _step(cfg, 2.0**-9)
     wave = petviashvili(_model(cfg), cfg["c"], make_grid(cfg["n"], cfg["L"]))
     report, trace = stability_experiment(

@@ -242,17 +242,19 @@ def _mix_weights(gram: np.ndarray, hist: list) -> np.ndarray:
         if lam.max() < MIX_COND * lam.min():
             y = np.linalg.solve(hn, 1.0 / d) / d
             return y / y.sum()
-        del hist[0]
+        hist.pop(0)
     return np.ones(1)
 
 
 def _anderson_mix(G: np.ndarray, F: np.ndarray, gram: np.ndarray, hist: list,
                   k: int, out: np.ndarray, restart: bool = False) -> None:
-    """One Anderson step on a ring of outputs G_j and residuals F_j (float64
-    rows, one per slot) whose slot k was just written: add row k to the
-    Gram matrix of the F_j, restart hist (the slots of the history, oldest
-    first, updated in place) at k when restart is set or |F_k| grew, and
-    write the mix sum_j a_j G_j of _mix_weights into out."""
+    """One Anderson step on a ring of MIX_DEPTH + 1 outputs G_j and residuals
+    F_j (float64 rows, one per slot) whose slot k was just written: add row k
+    to the Gram matrix of the F_j, restart hist (the slots of the history,
+    oldest first, updated in place) at k when restart is set or |F_k| grew,
+    and write the mix sum_j a_j G_j of _mix_weights into out.  On return hist
+    holds at most MIX_DEPTH consecutive slots ending at k, so the slot
+    written next, (k + 1) % (MIX_DEPTH + 1), is never in it."""
     np.dot(F, F[k], out=gram[k])
     gram[:, k] = gram[k]
     if hist and (restart or not 0.0 < gram[k, k] <= gram[hist[-1], hist[-1]]):
@@ -261,6 +263,7 @@ def _anderson_mix(G: np.ndarray, F: np.ndarray, gram: np.ndarray, hist: list,
     weights = np.zeros(len(G))
     weights[hist] = _mix_weights(gram, hist)
     np.dot(weights, G, out=out)
+    del hist[:-MIX_DEPTH]
 
 
 def petviashvili(
@@ -360,8 +363,6 @@ def petviashvili(
     hist = []  # ring slots of the mixing history, oldest first
     for n_iter in range(1, max_iter + 1):
         k, k_next = (n_iter - 1) % depth, n_iter % depth
-        if hist and hist[0] == k:
-            del hist[0]
         # slot k is free until the mix: F[k] holds Q^{p+1} and then (c + p(D)) Q_hat,
         # G[k] the transform of Q^{p+1}
         nl = _power_p1(q, p, out=F[k])
@@ -630,11 +631,9 @@ def minimize_iq(
     The minimizer is even, so the iteration runs in petviashvili's format:
     samples 0..n/2, real spectra scaled by 1/n, and every inner product the
     Parseval sum int u v = n dx _even_dot(u_hat, v_hat).  An iteration takes
-    two even transforms, of u^2/2 and of the new spectrum, in preallocated
-    buffers: the samples, u_hat, the multipliers, the transform's work space
-    and a ring of 2 (MIX_DEPTH + 1) spectra, whose slot outside the history
-    holds u^2/2, its transform and g_perp until the iteration writes G_k and
-    F_k there.  The profile carries its real spectrum.
+    two even transforms, of u^2/2 and of the new spectrum, and the mix keeps
+    the G_j and F_j in a ring of 2 (MIX_DEPTH + 1) spectra.  The profile
+    carries its real spectrum.
     """
     if not (tol > 0 and np.isfinite(tol) and max_iter >= 1):
         raise ValueError(f"need finite tol > 0, max_iter >= 1; got tol={tol}, max_iter={max_iter}")
@@ -663,7 +662,6 @@ def minimize_iq(
     scale = np.sqrt(l2_sq / seed_sq)
     uhat *= scale
     u *= scale
-    sym = np.empty(half)  # theta + D^alpha, then the preconditioner P
     ring = np.zeros((2, depth, half))
     G, F = ring
     # F holds sqrt(w) F_k, w = 2 on interior modes and 1 on the ends, so the
@@ -677,19 +675,14 @@ def minimize_iq(
     bad_steps = 0
     for n_iter in range(1, max_iter + 1):
         k = (n_iter - 1) % depth
-        if hist and hist[0] == k:
-            del hist[0]
-        # slot k is free until the mix: F[k] holds u^2/2 and then g_perp,
-        # G[k] the transform of u^2/2, then P u_hat and the tangent term
-        half_sq = np.multiply(u, u, out=F[k])
-        cubic = grid.dx * _even_dot(half_sq, u)
-        half_sq *= 0.5 / n  # the transform is the 1/n-scaled spectrum
-        _even_rfft(half_sq, G[k], work)
-        kinetic = parseval * _even_dot(np.multiply(mult, uhat, out=F[k]), uhat)
+        u_sq = u * u
+        cubic = grid.dx * _even_dot(u_sq, u)
+        # the transform of u^2/2 is its 1/n-scaled spectrum
+        half_sq_hat = _even_rfft(u_sq * (0.5 / n), np.empty(half), work)
+        kinetic = parseval * _even_dot(mult * uhat, uhat)
         energy = 0.5 * kinetic - cubic / 6.0
         theta = (0.5 * cubic - kinetic) / l2_sq
-        np.multiply(uhat, np.add(mult, theta, out=sym), out=F[k])
-        g_perp = np.subtract(F[k], G[k], out=F[k])
+        g_perp = uhat * (mult + theta) - half_sq_hat
         grad_norm = float(np.sqrt(parseval * _even_dot(g_perp, g_perp)))
         if grad_norm < tol:
             break
@@ -704,15 +697,12 @@ def minimize_iq(
         energy_prev = energy
         above_low = energy > energy_low
         energy_low = min(energy_low, energy)
-        prec = np.reciprocal(np.add(mult, max(theta, 1e-3), out=sym), out=sym)
-        np.multiply(prec, uhat, out=G[k])
-        tangent = _even_dot(G[k], g_perp) / _even_dot(G[k], uhat)
-        # F[k] = -STEP d and G[k] = u_hat + F[k]
-        g_perp -= np.multiply(uhat, tangent, out=G[k])
-        g_perp *= prec
-        g_perp *= -STEP
-        np.add(uhat, F[k], out=G[k])
-        F[k] *= root_w
+        prec = 1.0 / (mult + max(theta, 1e-3))
+        prec_u = prec * uhat
+        tangent = _even_dot(prec_u, g_perp) / _even_dot(prec_u, uhat)
+        step = (g_perp - uhat * tangent) * prec * -STEP  # -STEP d
+        G[k] = uhat + step
+        F[k] = step * root_w
         _anderson_mix(G, F, gram, hist, k, out=uhat, restart=above_low)
         uhat *= np.sqrt(l2_sq / (parseval * _even_dot(uhat, uhat)))
         _even_rfft(uhat, u, work)
@@ -721,7 +711,7 @@ def minimize_iq(
             f"minimize_iq did not converge within {max_iter} iterations "
             f"(projected gradient {grad_norm:.3e})"
         )
-    del ring, G, F, half_sq, g_perp, work  # free the ring before the profile
+    del ring, G, F, work  # free the ring before the profile
     profile = _even_profile(grid, u, uhat)
     return MinimizerResult(
         profile=profile,

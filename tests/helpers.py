@@ -1,7 +1,8 @@
 """Shared test utilities: the two-sided wavenumber lattice, the direct
-trigonometric-interpolant evaluator, the expression-form ETDRK4 loop and
-the 40-digit ETDRK4 coefficients for oracles, and recorders of the
-library's 1D transforms and of the solvers' even transforms."""
+trigonometric-interpolant evaluator, the expression-form ETDRK4 loop, the
+40-digit ETDRK4 coefficients and the periodic Benjamin-Ono wave for
+oracles, and recorders of the library's 1D transforms and of the solvers'
+even transforms."""
 
 from decimal import Decimal, localcontext
 
@@ -124,3 +125,15 @@ def etdrk4_coefficients_reference(theta, dt):
             half = half * t / (2 * (k + 1))
             term = term * t / (k + 3)
         return [complex(float(step * re), float(step * im)) for re, im in sums]
+
+
+def benjamin_ono_periodic(x, c, L):
+    """The periodic ground state Q_L of speed c on the box [-L, L) at alpha 1,
+    where the profile equation c Q + |D| Q = Q^2/2 is Benjamin-Ono's:
+    Q_L(x) = 2k sinh(gamma) / (cosh(gamma) - cos(kx)) with k = pi/L and
+    gamma = artanh(k/c), which needs c > k.  Its Fourier coefficients are
+    2k e^{-|m| gamma}, and as L grows it tends to the line soliton
+    4c/(1 + c^2 x^2) (Benjamin, J. Fluid Mech. 29, 1967)."""
+    k = np.pi / L
+    gamma = np.arctanh(k / c)
+    return 2.0 * k * np.sinh(gamma) / (np.cosh(gamma) - np.cos(k * np.asarray(x)))

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracsol import field_from_values, make_grid
+from fracsol import cli, field_from_values, make_grid
 from fracsol.cli import COMMANDS, TOLERANCES, _resolve, build_parser, main
 from fracsol.io import save_profile
 
@@ -327,6 +327,17 @@ class TestOtherCommands:
         assert code == 0
         payload = json.load(open(report))
         assert payload["verdict"] == "bounded"
+
+    def test_stability_rejects_a_non_power_symbol_before_solving(self, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("stability solved before it checked --symbol")
+
+        monkeypatch.setattr(cli, "petviashvili", no_solve)
+        report = str(tmp_path / "s.json")
+        assert main(["stability", "--symbol", "whitham", "--report", report]) == 2
+        payload = json.load(open(report))
+        assert payload["error"] == "ValueError"
+        assert "--symbol power" in payload["message"]
 
     def test_stability_infinite_horizon_exit_2(self, tmp_path):
         report = str(tmp_path / "s.json")

@@ -323,6 +323,42 @@ class TestPetviashvili:
         assert abs((3 * 0.3 - 1) * g - m) / m > 0.5
 
 
+class TestAndersonRing:
+    def test_history_never_holds_the_next_slot(self):
+        # the solver loops write slot k, mix, and write (k + 1) % depth next:
+        # after each mix the history must be at most MIX_DEPTH consecutive
+        # slots ending at k.  Three laps of the ring, with orthogonal residuals
+        # of falling norm, a restart once the history is full, and later a
+        # residual that nearly repeats the one before, so that the normalized
+        # Gram matrix passes MIX_COND and _mix_weights drops the older slots
+        depth = MIX_DEPTH + 1
+        restart_at, repeat_at = depth + 1, 2 * depth + 1
+        G, F = np.zeros((2, depth, 3 * depth))
+        gram = np.zeros((depth, depth))
+        hist, out = [], np.empty(3 * depth)
+        start = 0  # the step that began the history
+        for step in range(3 * depth):
+            k = step % depth
+            G[k] = np.arange(3 * depth) + step
+            if step == repeat_at:
+                F[k] = 0.99 * F[(k - 1) % depth]
+                F[k, 0] += 1e-12
+                start = step
+            else:
+                F[k] = 0.0
+                F[k, step] = 0.5**step
+            if step == restart_at:
+                start = step
+            ground_state._anderson_mix(G, F, gram, hist, k, out=out,
+                                       restart=step == restart_at)
+            length = min(step - start + 1, MIX_DEPTH)
+            assert hist == [(k - j) % depth for j in range(length - 1, -1, -1)], step
+            assert (k + 1) % depth not in hist
+            if step == start:
+                np.testing.assert_array_equal(out, G[k])
+        assert len(hist) == MIX_DEPTH  # the history ends full
+
+
 def assert_carries_its_spectrum(u):
     """u carries rfft(u.values), real and read-only."""
     ref = np.fft.rfft(u.values)
