@@ -41,6 +41,7 @@ __all__ = [
 
 BLOWUP_FACTOR = 1e6
 DELTA_FLOOR = 1e-5
+THRESHOLD_FACTOR = 5.0  # stability threshold / (max(delta, DELTA_FLOOR) ||Q||)
 TAYLOR_RADIUS = 1.0  # |z| below which the phi-functions are summed as series
 TAYLOR_TERMS = 18  # terms of the phi_1 series: the first one left out is < 1e-17
 NEWTON_CAP = 20  # Newton steps of the orbital-distance shift refinement
@@ -363,7 +364,6 @@ def stability_experiment(
     horizon: float,
     dt: float,
     seed: int = 0,
-    K: float = 5.0,
     gate_tolerance: float = 1e-3,
 ) -> tuple[StabilityReport, EvolutionTrace]:
     """Perturb a verified solitary wave and measure the orbital distance along
@@ -371,21 +371,21 @@ def stability_experiment(
     grid it runs on, and the velocity and alpha that are reported.
 
     The bounded verdict requires the running sup of the orbital distance to
-    stay below K * delta * ||Q|| (with a small floor for delta = 0) and the
-    conserved pair to drift by less than 1e-6; blow-up or sustained growth
-    past the threshold is reported as growing, anything else as inconclusive.
-    K is an experiment parameter: the stability theory guarantees smallness
-    without a rate.  The orbital distance is recorded every RECORD_INTERVAL
-    time units (every step when dt is longer).  The identity gate runs at
-    gate_tolerance, loose enough for the periodization level of desk-scale
-    boxes while still rejecting unconverged or perturbed profiles.  delta
-    must be finite and >= 0 (a negative one flips the perturbation while the
-    threshold falls to the floor), and K finite and > 0.
+    stay below the threshold THRESHOLD_FACTOR * max(delta, DELTA_FLOOR) * ||Q||
+    and the conserved pair to drift by less than 1e-6; blow-up or sustained
+    growth past the threshold is reported as growing, anything else as
+    inconclusive.  The factor 5 is fixed by fiat, since the stability theory
+    guarantees smallness without a rate; the distance to the family member of
+    the perturbed mass, against the theory's Lyapunov bound, is to replace
+    the rule (ROADMAP item 6).  The orbital distance is recorded every
+    RECORD_INTERVAL time units (every step when dt is longer).  The identity
+    gate runs at gate_tolerance, loose enough for the periodization level of
+    desk-scale boxes while still rejecting unconverged or perturbed profiles.
+    delta must be finite and >= 0 (a negative one flips the perturbation while
+    the threshold falls to the floor).
     """
     if not (delta >= 0 and np.isfinite(delta)):
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
-    if not (K > 0 and np.isfinite(K)):
-        raise ValueError(f"K must be finite and > 0, got {K}")
     gate = identity_suite(Q, tolerance=gate_tolerance)
     bad = [r.name for r in gate if not r.passed]
     if bad:
@@ -399,7 +399,8 @@ def stability_experiment(
     sup_d = float(np.max(dists))
     end_d = float(dists[-1])
     drift = trace.conserved_drift()
-    threshold = K * max(delta, DELTA_FLOOR) * energy_norm(Q.profile, Q.model.symbol)
+    norm = energy_norm(Q.profile, Q.model.symbol)
+    threshold = THRESHOLD_FACTOR * max(delta, DELTA_FLOOR) * norm
 
     if trace.flag is not None:
         verdict = "growing"

@@ -21,6 +21,7 @@ Three routes to the same family of objects:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -52,6 +53,7 @@ __all__ = [
     "petviashvili",
     "solve_refined",
     "rescale_solitary",
+    "solitary_from_profile",
     "paper_form",
     "cstar",
     "minimize_iq",
@@ -220,7 +222,10 @@ def default_seed(model: ModelSpec, c: float, grid: Grid1D) -> RealField:
         ceff = (c - 1.0) / c
         amp, width = 3.0 * c * ceff, ceff ** (1.0 / alpha) / 2.0
     else:
-        amp, width = 3.0 * c, c ** (1.0 / alpha) / 2.0
+        try:
+            amp, width = 3.0 * c, c ** (1.0 / alpha) / 2.0
+        except OverflowError:
+            raise ValueError(f"velocity c={c} overflows the seed width c^(1/alpha)") from None
     # overflow-safe sech^2
     e = np.exp(-np.abs(width * grid.x))
     vals = amp * (2.0 * e / (1.0 + e * e)) ** 2
@@ -686,6 +691,10 @@ def minimize_iq(
         grad_norm = float(np.sqrt(parseval * _even_dot(g_perp, g_perp)))
         if grad_norm < tol:
             break
+        if not math.isfinite(grad_norm):
+            raise NumericalError(
+                f"minimize_iq: non-finite projected gradient {grad_norm} at iteration {n_iter}"
+            )
         if energy > energy_prev:
             bad_steps += 1
             if bad_steps >= 50:

@@ -1,8 +1,8 @@
 """Shared test utilities: the two-sided wavenumber lattice, the direct
 trigonometric-interpolant evaluator, the expression-form ETDRK4 loop, the
-40-digit ETDRK4 coefficients and the periodic Benjamin-Ono wave for
-oracles, and recorders of the library's 1D transforms and of the solvers'
-even transforms."""
+40-digit ETDRK4 coefficients and the periodic Benjamin-Ono wave and its
+integrals for oracles, and recorders of the library's 1D transforms and of
+the solvers' even transforms."""
 
 from decimal import Decimal, localcontext
 
@@ -137,3 +137,13 @@ def benjamin_ono_periodic(x, c, L):
     k = np.pi / L
     gamma = np.arctanh(k / c)
     return 2.0 * k * np.sinh(gamma) / (np.cosh(gamma) - np.cos(k * np.asarray(x)))
+
+
+def benjamin_ono_periodic_integrals(c, L):
+    """The integrals of benjamin_ono_periodic over one period, with k = pi/L:
+    int Q_L^2 = 8 pi c, int |D^{1/2} Q_L|^2 = 4 pi (c^2 - k^2) and
+    int Q_L^3 = 24 pi c^2 - 8 pi k^2."""
+    k = np.pi / L
+    return {"square": 8.0 * np.pi * c,
+            "kinetic": 4.0 * np.pi * (c * c - k * k),
+            "cube": 24.0 * np.pi * c * c - 8.0 * np.pi * k * k}

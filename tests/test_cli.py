@@ -137,10 +137,28 @@ class TestConfigFile:
     def test_other_command_key_allowed(self, tmp_path):
         # one file can serve several commands: evolve's keys pass ground-state
         cfg = tmp_path / "shared.cfg"
-        cfg.write_text("alpha = 0.8\nn = 4096\nL = 200\ntrack = no\n")
+        cfg.write_text("alpha = 0.8\nn = 4096\nL = 200\nrecord_every = 0\n")
         report = str(tmp_path / "r.json")
         assert main(["ground-state", "--config", str(cfg), "--report", report]) == 0
-        assert "track" not in json.load(open(report))["config"]
+        assert "record_every" not in json.load(open(report))["config"]
+
+
+@pytest.mark.parametrize("argv", [["stability", "--K", "5"], ["evolve", "--no-track"]],
+                         ids=["stability_K", "evolve_no_track"])
+def test_removed_flags_are_unknown(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["K = 5", "track = no"])
+def test_removed_config_keys_are_unknown(line, tmp_path):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(line + "\n")
+    report = str(tmp_path / "err.json")
+    assert main(["ground-state", "--config", str(cfg), "--report", report]) == 2
+    assert "no command accepts config key(s)" in json.load(open(report))["message"]
 
 
 def _table_keys():
@@ -167,26 +185,28 @@ def test_flag_and_config_parity(cmd, key, tmp_path):
         assert type(value) is type(default)
 
 
-# hand-picked step cases, id -> argv
+# hand-picked cases, id -> argv; the overflow cases raised OverflowError (exit
+# 1, a traceback, no report) at the default step's int(round(T / dt)) and at
+# the seed's c^(1/alpha)
 _BAD_STEP_FLAGS = {
     "evolve_dt_negative": ["evolve", "--dt", "-1"],
     "evolve_dt_nan": ["evolve", "--dt", "nan"],
     "evolve_record_every_negative": ["evolve", "--record-every", "-1"],
     "stability_dt_negative": ["stability", "--dt", "-1", "--n", "4096", "--L", "200"],
-    "stability_K_nan": ["stability", "--K", "nan", "--n", "4096", "--L", "200"],
-    "stability_K_negative": ["stability", "--K", "-1", "--n", "4096", "--L", "200"],
-    "stability_K_zero": ["stability", "--K", "0", "--n", "4096", "--L", "200"],
-    "stability_K_inf": ["stability", "--K", "inf", "--n", "4096", "--L", "200"],
     "ground_state_tol_negative": ["ground-state", "--tol", "-1"],
     "ground_state_tol_nan": ["ground-state", "--tol", "nan"],
     "minimize_iq_tol_nan": ["minimize-iq", "--tol", "nan", "--max-iter", "3000"],
     "minimize_iq_max_iter_zero": ["minimize-iq", "--max-iter", "0"],
+    "stability_T_overflow": ["stability", "--T", "1e308"],
+    "evolve_T_overflow": ["evolve", "--T", "1e308"],
+    "ground_state_c_overflow": ["ground-state", "--c", "1e308", "--n", "256", "--L", "20"],
+    "stability_c_overflow": ["stability", "--c", "1e308", "--n", "256", "--L", "20"],
 }
 _LIST_FLAGS = ("thetas", "radii", "alphas", "cs")
 
 
 def _bad_flag_cases():
-    """The hand-picked step cases, then every float flag of every command with
+    """The hand-picked cases, then every float flag of every command with
     nan and inf, every tolerance with -1, and every value list empty, nan,
     inf or a word; each is a usage error."""
     cases = dict(_BAD_STEP_FLAGS)
@@ -312,6 +332,15 @@ class TestOtherCommands:
         assert payload["error"] == "ValueError"
         assert "unknown field kind 'spectral'" in payload["message"]
 
+    def test_kp_check_fails_on_a_nan_residual(self, tmp_path):
+        # Python's max dropped every NaN residual after the first entry, so
+        # the chain passed with a worst residual of 0
+        report = str(tmp_path / "kp.json")
+        assert main(["kp-check", "--alphas", "1e308", "--report", report]) == 1
+        payload = json.load(open(report))
+        assert np.isnan(payload["worst_residual"])
+        assert payload["pass"] is False
+
     def test_kp_check_command(self, tmp_path):
         report = str(tmp_path / "kp.json")
         assert main(["kp-check", "--report", report]) == 0
@@ -356,7 +385,7 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("argv", _bad_flag_cases())
     def test_bad_step_flag_exit_2(self, argv, tmp_path):
-        # 0 is the only value that selects the default step; K, tol and
+        # 0 is the only value that selects the default step; tol and
         # max_iter have no default to select and must be positive; a float
         # is finite, a tolerance >= 0 and a value list holds finite values
         grid = make_grid(256, 20.0)

@@ -15,6 +15,7 @@ from fracsol import (
     DispersionSymbol,
     ModelSpec,
     NoSolitaryWaveError,
+    NumericalError,
     cstar,
     dilate_field,
     energy_fkdv,
@@ -696,6 +697,13 @@ class TestMinimizeIq:
         # ConvergenceError
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             minimize_iq(1.0, 0.75, make_grid(1024, 50.0), **kwargs)
+
+    def test_non_finite_gradient_stops_at_once(self):
+        # q 1e308 puts infinite samples on the mass sphere; the NaN gradient
+        # failed the stopping test and every energy comparison, so the flow
+        # ran its 20,000 iterations before it raised ConvergenceError
+        with pytest.raises(NumericalError, match="non-finite projected gradient nan at iteration 1$"):
+            minimize_iq(1e308, 0.75, make_grid(256, 20.0))
 
     @pytest.mark.parametrize("q", [2.0, 4.0, 8.0, 12.5])
     def test_desk_grid_converges_in_few_iterations(self, grid_desk, q):

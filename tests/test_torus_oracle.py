@@ -7,7 +7,7 @@ the periodization are measured apart."""
 import numpy as np
 import pytest
 
-from helpers import benjamin_ono_periodic
+from helpers import benjamin_ono_periodic, benjamin_ono_periodic_integrals
 
 from fracsol import (
     DispersionSymbol,
@@ -15,15 +15,23 @@ from fracsol import (
     energy_norm,
     field_from_values,
     make_grid,
+    mass,
     petviashvili,
+    spectral_tail,
 )
 from fracsol.evolution import evolve, orbital_distance
 from fracsol.ground_state import FKDV, solitary_from_profile
+from fracsol.spectral import _field_form, _xi_power
 from fracsol.verification import identity_suite
 
 BO = ModelSpec(family=FKDV, symbol=DispersionSymbol.power(1.0))
 # (c, n, L); measured sup errors of the solve 3.3e-11, 1.1e-11, 5.3e-12, 2.2e-11
 BOXES = [(1.0, 1024, 25.0), (1.0, 4096, 200.0), (1.0, 8192, 400.0), (2.0, 2048, 50.0)]
+
+
+# the integrals' boxes add c 2 on 4096/200, the one whose solve is
+# resolution-limited; its kinetic form is the worst, 1.1e-10 relative
+INTEGRAL_BOXES = BOXES + [(2.0, 4096, 200.0)]
 
 
 @pytest.fixture(scope="module", params=BOXES, ids=lambda box: "c{:g}-{}-{:g}".format(*box))
@@ -50,6 +58,30 @@ def test_identity_rows_are_the_closed_form_periodization(torus_wave):
     for name, value in periodization.items():
         assert abs(rows[name] - value) <= 5e-8 * value, (name, rows[name], value)
     assert rows["energy"] < 1e-14
+
+
+@pytest.mark.parametrize("c, n, L", INTEGRAL_BOXES)
+def test_integrals_match_the_closed_form(c, n, L):
+    grid = make_grid(n, L)
+    u = petviashvili(BO, c, grid).profile
+    measured = {"square": 2.0 * mass(u), "kinetic": _field_form(u, _xi_power(grid, 1.0)),
+                "cube": grid.dx * float(np.sum(u.values**3))}
+    for name, exact in benjamin_ono_periodic_integrals(c, L).items():
+        assert abs(measured[name] - exact) <= 5e-10 * exact, (name, measured[name], exact)
+
+
+@pytest.mark.parametrize("c", [2.0, 3.0])
+def test_spectral_tail_bounds_the_solver_error(c):
+    # at fixed L, the sup error and the tail fall together as dx halves:
+    # where resolution limits the solve the error was 0.7-5.6 times the
+    # tail, and below a tail of 1e-11 it sits at the solver's 1e-11; the
+    # worst row (c 3, n 2048) uses 0.56 of the bound
+    L = 200.0
+    for n in (1024, 2048, 4096, 8192):
+        grid = make_grid(n, L)
+        u = petviashvili(BO, c, grid).profile
+        error = np.max(np.abs(u.values - benjamin_ono_periodic(grid.x, c, L)))
+        assert error <= 10.0 * spectral_tail(u) + 1e-10, (n, error, spectral_tail(u))
 
 
 def test_evolution_travels_at_speed_c_to_fourth_order():
